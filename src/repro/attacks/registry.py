@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, List
 
 from repro.attacks.adaptive import (
@@ -40,6 +41,24 @@ _FACTORIES: Dict[str, Callable[..., ByzantineBehavior]] = {
 def available_attacks() -> List[str]:
     """Sorted list of registered behaviour names."""
     return sorted(_FACTORIES)
+
+
+def buildable_attacks() -> List[str]:
+    """Registered behaviours that ``make_attack(name)`` builds with no arguments.
+
+    The rest (``constant-bias``, ``cost-substitution``, ``intermittent``,
+    ``optimal-direction``) need constructor arguments, so entry points that
+    take only an attack name — the CLI and the service's job specs — offer
+    and accept this list instead of :func:`available_attacks`.
+    """
+    return [
+        name
+        for name in available_attacks()
+        if all(
+            parameter.default is not parameter.empty
+            for parameter in inspect.signature(_FACTORIES[name]).parameters.values()
+        )
+    ]
 
 
 def make_attack(name: str, **kwargs) -> ByzantineBehavior:

@@ -58,7 +58,7 @@ from repro.aggregators.registry import available_filters
 from repro.analysis.metrics import final_error
 from repro.analysis.reporting import format_table
 from repro.analysis.serialization import experiment_to_csv, save_experiment
-from repro.attacks.registry import available_attacks, make_attack
+from repro.attacks.registry import available_attacks, buildable_attacks, make_attack
 from repro.core.redundancy import measure_redundancy_margin
 from repro.problems.linear_regression import make_redundant_regression
 from repro.system.runner import run_dgd
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--attack", default="gradient-reverse",
-        choices=[a for a in available_attacks() if a not in ("constant-bias", "cost-substitution", "optimal-direction", "intermittent")],
+        choices=buildable_attacks(),
     )
     run.add_argument("--iterations", type=int, default=500)
     run.add_argument("--seed", type=int, default=0)
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--attack", default="gradient-reverse",
-        choices=[a for a in available_attacks() if a not in ("constant-bias", "cost-substitution", "optimal-direction", "intermittent")],
+        choices=buildable_attacks(),
     )
     profile.add_argument("--iterations", type=int, default=500)
     profile.add_argument("--seed", type=int, default=0)
@@ -241,15 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs", type=int, default=1,
         help="replicate runs; >1 profiles the vectorized batch engine "
         "(seeds derived from --seed)",
-    )
-    profile.add_argument(
-        "--array-backend", default="numpy", dest="array_backend",
-        help="array backend for the batch engine's hot kernels "
-        "(numpy/torch/numba; requires --runs > 1)",
-    )
-    profile.add_argument(
-        "--dtype", default="float64", choices=["float64", "float32"],
-        help="batch-engine working precision (requires --runs > 1)",
     )
     profile.add_argument(
         "--telemetry", metavar="PATH", default=None,
@@ -281,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--attacks", nargs="+",
         default=["gradient-reverse", "random", "sign-flip", "zero"],
-        choices=available_attacks(),
+        choices=buildable_attacks(),
     )
     sweep.add_argument("--fault-counts", type=int, nargs="+", default=[1])
     sweep.add_argument("--num-seeds", type=int, default=10)
@@ -298,17 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend", choices=["batch", "sequential"], default="batch",
         help="per-cell execution engine (numerically identical)",
-    )
-    sweep.add_argument(
-        "--array-backend", default="numpy", dest="array_backend",
-        help="array backend for the batch engine's hot kernels "
-        "(numpy keeps bit-identity; torch/numba are tolerance-class "
-        "extras with their own cache namespace)",
-    )
-    sweep.add_argument(
-        "--dtype", default="float64", choices=["float64", "float32"],
-        help="batch-engine working precision (float32 gets its own "
-        "cache namespace)",
     )
     sweep.add_argument(
         "--cache-dir", default=None,
@@ -576,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_sweep.add_argument("--attacks", nargs="+",
                               default=["gradient-reverse", "random",
                                        "sign-flip", "zero"],
-                              choices=available_attacks())
+                              choices=buildable_attacks())
     submit_sweep.add_argument("--fault-counts", type=int, nargs="+",
                               default=[1])
     submit_sweep.add_argument("--num-seeds", type=int, default=10)
@@ -599,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_run.add_argument("--filter", default="cge",
                             choices=available_filters(), dest="filter_name")
     submit_run.add_argument("--attack", default="gradient-reverse",
-                            choices=available_attacks())
+                            choices=buildable_attacks())
     submit_run.add_argument("--iterations", type=int, default=500)
     submit_run.add_argument("--seed", type=int, default=0)
 
@@ -961,13 +941,6 @@ def _command_profile(args) -> int:
     if args.runs <= 0:
         print("error: --runs must be positive", file=sys.stderr)
         return 2
-    if args.runs == 1 and (args.array_backend != "numpy" or args.dtype != "float64"):
-        print(
-            "error: --array-backend/--dtype profile the batch engine; "
-            "use --runs > 1",
-            file=sys.stderr,
-        )
-        return 2
     instance = make_redundant_regression(
         n=args.n, d=args.d, f=args.f, noise_std=args.noise, seed=args.seed
     )
@@ -999,8 +972,6 @@ def _command_profile(args) -> int:
             faulty_ids=faulty,
             iterations=args.iterations,
             telemetry=telemetry,
-            backend=args.array_backend,
-            dtype=None if args.dtype == "float64" else args.dtype,
         )
     summary = telemetry.summary()
     telemetry.close()
@@ -1035,7 +1006,7 @@ def _command_redundancy(args) -> int:
 
 
 def _command_sweep(args) -> int:
-    from repro.exceptions import BackendUnavailableError, InvalidParameterError
+    from repro.exceptions import InvalidParameterError
     from repro.experiments.sweep import RegressionGrid, SweepEngine, summarize_grid
 
     if args.resume and args.cache_dir is None:
@@ -1063,10 +1034,8 @@ def _command_sweep(args) -> int:
             retries=args.retries,
             events=args.events,
             telemetry_dir=args.telemetry,
-            array_backend=args.array_backend,
-            dtype=args.dtype,
         )
-    except (InvalidParameterError, BackendUnavailableError) as exc:
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cells = engine.resume(grid) if args.resume else engine.run_regression_grid(grid)
@@ -1465,19 +1434,9 @@ def _command_trace_report(args) -> int:
 
 
 def _command_list(_args) -> int:
-    from repro.system.backends import available_backends
-
     print("gradient filters:", ", ".join(available_filters()))
     print("attacks:         ", ", ".join(available_attacks()))
     print("experiments:     ", ", ".join(sorted(EXPERIMENTS)))
-    backends = available_backends()
-    print(
-        "array backends:  ",
-        ", ".join(
-            name if ok else f"{name} (unavailable)"
-            for name, ok in sorted(backends.items())
-        ),
-    )
     return 0
 
 

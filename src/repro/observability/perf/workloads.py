@@ -565,7 +565,7 @@ def _bench_tournament_smoke(tel):
 
 
 # ----------------------------------------------------------------------
-# Large-n / large-d kernel scaling (the backend seam's reason to exist)
+# Large-n / large-d kernel scaling
 # ----------------------------------------------------------------------
 
 #: Batch size chosen so one (K, n, d) float64 tensor stays near 128 MB.
@@ -606,7 +606,7 @@ def _make_scale_bench(kind: str, n: int, d: int) -> None:
                 agg = kernels.cge_aggregate_batch(tensor, f)
         elif kind == "mean":
             with tel.span("mean"):
-                agg = kernels.mean_batch(tensor)
+                agg = tensor.mean(axis=1)
         else:  # cwtm: race the optimized kernel against the reference sort
             with tel.span("partition"):
                 start = time.perf_counter()

@@ -121,12 +121,12 @@ def _require_name_list(params: Dict, key: str, available, kind: str) -> None:
 
 def _validate_sweep_params(params: Dict) -> None:
     from repro.aggregators.registry import available_filters
-    from repro.attacks.registry import available_attacks
+    from repro.attacks.registry import buildable_attacks
 
     if "filters" in params:
         _require_name_list(params, "filters", available_filters(), "filter")
     if "attacks" in params:
-        _require_name_list(params, "attacks", available_attacks(), "attack")
+        _require_name_list(params, "attacks", buildable_attacks(), "attack")
     if "fault_counts" in params:
         counts = params["fault_counts"]
         if not isinstance(counts, (list, tuple)) or not counts or any(
@@ -158,7 +158,7 @@ def _validate_sweep_params(params: Dict) -> None:
 
 def _validate_run_params(params: Dict) -> None:
     from repro.aggregators.registry import available_filters
-    from repro.attacks.registry import available_attacks
+    from repro.attacks.registry import buildable_attacks
 
     for key, minimum in (("n", 2), ("d", 1), ("iterations", 1)):
         if key in params:
@@ -174,10 +174,10 @@ def _validate_run_params(params: Dict) -> None:
             f"unknown filter {params['filter']!r}; "
             f"available: {', '.join(available_filters())}"
         )
-    if "attack" in params and params["attack"] not in available_attacks():
+    if "attack" in params and params["attack"] not in buildable_attacks():
         raise InvalidParameterError(
             f"unknown attack {params['attack']!r}; "
-            f"available: {', '.join(available_attacks())}"
+            f"available: {', '.join(buildable_attacks())}"
         )
 
 

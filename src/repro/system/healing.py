@@ -86,6 +86,8 @@ class ResiliencePolicy:
         When set (default), non-finite or wrong-shaped payloads are
         quarantined at the message boundary; otherwise they pass through
         to ``GradientFilter.sanitize`` as in the synchronous server.
+        :meth:`for_model` sets it only when the model can corrupt
+        payloads, so a null model keeps the synchronous behaviour.
     min_responders:
         Partial-aggregation quorum. Defaults to ``f + 1`` — with at most
         ``f`` Byzantine agents, any ``f + 1`` gradients still contain an
@@ -120,6 +122,9 @@ class ResiliencePolicy:
         defaults = dict(
             max_staleness=model.staleness_bound(),
             eliminate_on_silence=model.preserves_synchrony,
+            quarantine_non_finite=any(
+                p.corrupt_prob > 0 for p in model.profiles.values()
+            ),
         )
         defaults.update(overrides)
         return cls(**defaults)

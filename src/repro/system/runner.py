@@ -607,11 +607,16 @@ def _run_partially_synchronous(
                 for agent_id in sorted(active):
                     network.submit(broadcast, agent_id, t)
                 honest_replies: List[GradientMessage] = []
-                for agent_id in sorted(active & set(agents)):
+                for agent_id in sorted(active):
                     if model.profile(agent_id).is_down(t):
                         continue  # the endpoint is inside its crash window
-                    for delivered in network.collect(agent_id, t):
-                        reply = agents[agent_id].on_estimate(delivered)
+                    delivered = network.collect(agent_id, t)
+                    if agent_id not in agents:
+                        # The adversary's copies: delivered to it, as on the
+                        # synchronous network, and never answered by an agent.
+                        continue
+                    for message in delivered:
+                        reply = agents[agent_id].on_estimate(message)
                         if reply is not None:
                             honest_replies.append(reply)
                 # Canonical reply order: the adversary's view (and hence

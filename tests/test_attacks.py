@@ -11,6 +11,7 @@ from repro.attacks.adaptive import (
     OptimalDirectionAttack,
 )
 from repro.attacks.base import AttackContext, ByzantineBehavior
+from repro.attacks.registry import buildable_attacks
 from repro.attacks.simple import (
     ConstantBias,
     CostSubstitution,
@@ -76,6 +77,15 @@ class TestContext:
     def test_empty_honest_means_zero(self):
         ctx = make_context(honest=np.zeros((0, 3)))
         assert np.allclose(ctx.honest_mean(), 0.0)
+
+
+class TestBuildableAttacks:
+    def test_excludes_attacks_that_need_arguments(self):
+        needs_arguments = {"constant-bias", "cost-substitution",
+                           "intermittent", "optimal-direction"}
+        assert set(buildable_attacks()) == set(available_attacks()) - needs_arguments
+        for name in buildable_attacks():
+            assert make_attack(name).name == name
 
 
 class TestShapeContract:

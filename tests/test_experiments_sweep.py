@@ -280,6 +280,14 @@ class TestCacheKeyProperties:
     semantic change produces a new key (no stale hits), and no change —
     including dict insertion order — keeps the key (no spurious misses)."""
 
+    def test_default_payload_unchanged(self):
+        # A literal key: caches and resume manifests written by earlier
+        # versions must keep hitting.
+        grid_fields = {"n": 6, "d": 2, "redundancy_f": 1, "noise_std": 0.0,
+                       "instance_seed": 1, "iterations": 50, "x0": None}
+        payload = _cell_cache_payload(grid_fields, "cge", "zero", 1, 7)
+        assert _config_hash(payload) == "b0b34d4008d02582f0fce6b9286079a6"
+
     @given(
         field=st.sampled_from(
             ["n", "d", "redundancy_f", "instance_seed", "iterations"]

@@ -19,6 +19,7 @@ import pytest
 from repro.aggregators.registry import make_filter
 from repro.analysis.metrics import final_error
 from repro.analysis.serialization import load_trace, save_trace
+from repro.attacks.base import ByzantineBehavior
 from repro.attacks.registry import make_attack
 from repro.exceptions import ProtocolViolationError
 from repro.observability import MemorySink, Telemetry
@@ -29,6 +30,7 @@ from repro.system.netfaults import FaultProfile, NetworkFaultModel
 from repro.system.peer_to_peer import run_peer_to_peer_dgd
 from repro.system.runner import run_dgd
 from repro.system.server import DGDServer, fixed_filter_factory
+from repro.utils.atomicio import read_json_checked
 
 
 N, D, F = 6, 2, 1
@@ -119,6 +121,54 @@ class TestZeroFaultBitIdentity:
         )
         assert np.array_equal(sync.estimates, hardened.estimates)
         assert sync.eliminated == hardened.eliminated == [5]
+
+    def test_null_model_delivers_every_broadcast(self):
+        # 2nT, as on the synchronous network: the broadcast copies addressed
+        # to Byzantine agents are delivered to the adversary.
+        n, f, iterations = 12, 3, 60
+        costs = make_redundant_regression(
+            n=n, d=D, f=f, noise_std=0.0, seed=9
+        ).costs
+        kwargs = dict(
+            gradient_filter="cge", faulty_ids=(0, 1, 2), f=f,
+            iterations=iterations, seed=5,
+        )
+        sync = run_dgd(costs, make_attack("gradient-reverse"), **kwargs)
+        hardened = run_dgd(
+            costs, make_attack("gradient-reverse"),
+            fault_model=NetworkFaultModel(), **kwargs,
+        )
+        assert hardened.messages_delivered == sync.messages_delivered
+        assert hardened.messages_delivered == 2 * n * iterations
+        assert hardened.bytes_delivered == sync.bytes_delivered
+
+    def test_non_finite_forgery_reaches_sanitize(self, instance):
+        # A null model cannot corrupt payloads, so a forged NaN is the
+        # sender's doing: it goes to GradientFilter.sanitize as on the
+        # synchronous server, not to quarantine (which would then eliminate
+        # the sender as silent).
+        class NaNForgery(ByzantineBehavior):
+            name = "nan-forgery"
+
+            def forge(self, context):
+                forged = -context.true_faulty_gradients()
+                forged[:, 0] = np.nan
+                return forged
+
+        kwargs = dict(
+            gradient_filter="cwtm", faulty_ids=FAULTY, iterations=40, seed=5
+        )
+        sync = run_dgd(instance.costs, NaNForgery(), **kwargs)
+        hardened = run_dgd(
+            instance.costs, NaNForgery(), fault_model=NetworkFaultModel(),
+            **kwargs,
+        )
+        assert np.array_equal(sync.estimates, hardened.estimates)
+        assert sync.eliminated == hardened.eliminated == []
+        assert not ResiliencePolicy.for_model(
+            NetworkFaultModel()
+        ).quarantine_non_finite
+        assert ResiliencePolicy.for_model(_chaos_model()).quarantine_non_finite
 
     def test_peer_to_peer(self, instance):
         base = run_peer_to_peer_dgd(
@@ -280,6 +330,14 @@ class TestCheckpointResume:
         assert resumed.extra["resumed_from_round"] == 30
         assert np.array_equal(uninterrupted.estimates, resumed.estimates)
         assert np.array_equal(uninterrupted.directions, resumed.directions)
+
+    def test_no_copy_addressed_to_the_adversary_stays_queued(
+        self, instance, tmp_path
+    ):
+        ckpt = str(tmp_path / "run.ckpt.json")
+        run_dgd(instance.costs, make_attack("gradient-reverse"), **self._config(ckpt))
+        queue = read_json_checked(ckpt, require_checksum=True)["network"]["queue"]
+        assert [e for e in queue if e["receiver"] in FAULTY] == []
 
     def test_corrupt_checkpoint_restarts_fresh(self, instance, tmp_path):
         ckpt = tmp_path / "run.ckpt.json"

@@ -121,6 +121,15 @@ class TestServiceEndToEnd:
         with pytest.raises(ServiceError, match="unknown job kind"):
             harness.client.submit("mystery", {})
 
+    def test_attack_needing_arguments_rejected_400(self, harness):
+        # constant-bias needs a bias vector; admitting it would fail the run
+        # job and quarantine every sweep cell.
+        for kind, params in (("run", {"attack": "constant-bias"}),
+                             ("sweep", {"attacks": ["constant-bias"]})):
+            with pytest.raises(ServiceError, match="invalid-spec") as excinfo:
+                harness.client.submit(kind, params)
+            assert excinfo.value.status == 400
+
     def test_result_before_completion_conflicts(self, harness, tmp_path):
         # a job that was never submitted
         with pytest.raises(ServiceError):

@@ -31,6 +31,8 @@ from repro.experiments.common import PAPER_X0, REGRESSION_ATTACKS
 from repro.optimization.cost_functions import ScaledCost, TranslatedQuadratic
 from repro.problems.linear_regression import make_redundant_regression
 from repro.system.batch import batch_unsupported_reason, run_dgd_batch
+from repro.system.healing import ResiliencePolicy
+from repro.system.netfaults import FaultProfile, NetworkFaultModel
 from repro.system.runner import DGDConfig, run_dgd
 
 SEEDS = [3, 17, 92]
@@ -163,6 +165,35 @@ class TestFallbacks:
         for a, b in zip(sequential, batched):
             assert np.array_equal(a.estimates, b.estimates)
         assert "batch" not in batched[0].extra
+
+    def test_network_fault_reasons(self, instance):
+        gradient_filter = make_filter("cge", f=1)
+        for config in (
+            DGDConfig(fault_model=NetworkFaultModel()),
+            DGDConfig(resilience=ResiliencePolicy()),
+            DGDConfig(checkpoint_path="run.ckpt.json"),
+        ):
+            reason = batch_unsupported_reason(
+                instance.costs, None, config, gradient_filter
+            )
+            assert reason is not None and "network" in reason
+
+    def test_network_faults_fall_back(self, instance):
+        # The fast path has no network: a fault model must not be ignored.
+        model = NetworkFaultModel.uniform(
+            range(len(instance.costs)),
+            FaultProfile(drop_prob=0.3, delay_prob=0.3, max_delay=2),
+            seed=3,
+        )
+        config = DGDConfig(
+            iterations=60, gradient_filter="cge", faulty_ids=(0,), f=1,
+            fault_model=model,
+        )
+        behavior = make_attack("gradient-reverse")
+        batched = run_dgd_batch(instance.costs, behavior, config, seeds=[5])[0]
+        sequential = run_dgd(instance.costs, behavior, config, seed=5)
+        assert np.array_equal(sequential.estimates, batched.estimates)
+        assert batched.messages_dropped == sequential.messages_dropped > 0
 
     def test_crash_configuration_falls_back(self, instance):
         config = DGDConfig(
