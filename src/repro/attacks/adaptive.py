@@ -7,12 +7,28 @@ standard stress tests for robust aggregation rules.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.attacks.base import AttackContext, ByzantineBehavior
 from repro.exceptions import InvalidParameterError
+
+
+@functools.lru_cache(maxsize=256)
+def _default_z(n: int, f: int) -> float:
+    """ALIE's default ``z`` for ``n`` agents of which ``f`` are faulty.
+
+    A normal quantile that depends only on ``(n, f)``, so it is computed
+    once per pair rather than on every forge.
+    """
+    # Number of honest agents the adversary must out-vote.
+    s = max(int(np.floor(n / 2.0 + 1.0)) - f, 1)
+    fraction = min(max((n - f - s) / max(n - f, 1), 1e-6), 1.0 - 1e-6)
+    from scipy.stats import norm
+
+    return float(norm.ppf(1.0 - fraction) if fraction < 0.5 else norm.ppf(fraction))
 
 
 class ALittleIsEnough(ByzantineBehavior):
@@ -34,14 +50,10 @@ class ALittleIsEnough(ByzantineBehavior):
     def _z_value(self, context: AttackContext) -> float:
         if self._z is not None:
             return self._z
-        n = context.honest_gradients.shape[0] + context.num_faulty
-        f = context.num_faulty
-        # Number of honest agents the adversary must out-vote.
-        s = max(int(np.floor(n / 2.0 + 1.0)) - f, 1)
-        fraction = min(max((n - f - s) / max(n - f, 1), 1e-6), 1.0 - 1e-6)
-        from scipy.stats import norm
-
-        return float(norm.ppf(1.0 - fraction) if fraction < 0.5 else norm.ppf(fraction))
+        return _default_z(
+            context.honest_gradients.shape[0] + context.num_faulty,
+            context.num_faulty,
+        )
 
     def forge(self, context: AttackContext) -> np.ndarray:
         z = abs(self._z_value(context))

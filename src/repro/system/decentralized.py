@@ -25,11 +25,14 @@ minimal-redundancy decentralized follow-up (PAPERS.md): fault-tolerance
 becomes *local*, agent ``i`` surviving ``f_i`` Byzantine neighbors exactly
 when its closed neighborhood satisfies ``deg_i + 1 >= 2 f_i + 1``.
 
-Execution is vectorized end to end: one batched neighbor-gather per round
-feeds the batched kernels in :mod:`repro.aggregators.kernels` (agents
-grouped by their round-local ``(k_i, f_i)`` class), so n = 1024 agents on
-a sparse graph cost a handful of array ops per round — no Python
-per-agent loop anywhere on the hot path.
+Execution is vectorized end to end: agents are grouped by their
+round-local ``(k_i, f_i)`` class, and one ``take`` per class from a
+single gather table (own states, then neighbor states) feeds the batched
+kernels in :mod:`repro.aggregators.kernels`, so n = 1024 agents on a
+sparse graph cost a handful of array ops per round — no Python per-agent
+loop anywhere on the hot path. Whatever depends only on the topology,
+the budgets and the link-fault model is computed once per run; without
+link faults that includes the whole mixing plan.
 
 Fault model
 -----------
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,27 +174,53 @@ def _quadratic_gradient_stack(costs: Sequence[CostFunction]):
     return lambda X: np.einsum("nij,nj->ni", P, X) + q
 
 
-def _group_mix(
-    values: np.ndarray,
-    own: np.ndarray,
-    f: int,
-    aggregation: str,
-) -> np.ndarray:
+def _group_mix(values: np.ndarray, f: int, aggregation: str) -> np.ndarray:
     """Robust mix of one ``(m, k, d)`` closed-neighborhood tensor.
 
-    Row 0 of every slice is the agent's own state (``own`` is the ``(m,
-    d)`` stack of those rows — used by CGE's difference screening).
+    Row 0 of every slice is the agent's own state. With ``f = 0`` every
+    rule keeps all ``k`` rows, so the mix is the plain mean.
     """
-    if aggregation == "mean" or f == 0 and aggregation == "cwtm":
+    if aggregation == "mean" or f == 0:
         return values.mean(axis=1)
     if aggregation == "cwtm":
         return partition_trimmed_mean(values, f)
     # CGE in state space: keep the k - f neighborhood states closest to
     # the agent's own (the self row's difference is 0, so it always
     # survives), then average the kept absolute states.
-    diffs = values - own[:, None, :]
+    diffs = values - values[:, :1]
     kept = cge_kept_indices_batch(diffs, f)
     return np.take_along_axis(values, kept[:, :, None], axis=1).mean(axis=1)
+
+
+def _mix_plan(
+    k_live: np.ndarray,
+    budgets: np.ndarray,
+    active: np.ndarray,
+    neighbor_rows: np.ndarray,
+) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """Group the ``active`` agents by their ``(k_i, f_i)`` class.
+
+    ``neighbor_rows`` lists the gather-table rows of every agent's
+    ``k_live[i]`` live neighbors, agent by agent in canonical order.
+    Returns one ``(members, rows, f)`` triple per class, members
+    ascending, where ``rows[j]`` lists member ``j``'s closed neighborhood
+    as table rows: its own row ``members[j]``, then its live neighbors.
+    """
+    first = np.cumsum(k_live) - k_live
+    agents = np.flatnonzero(active)
+    key = k_live[agents] * (budgets.max() + 1) + budgets[agents]
+    order = np.argsort(key, kind="stable")
+    agents, key = agents[order], key[order]
+    plan = []
+    for members in np.split(agents, np.flatnonzero(np.diff(key)) + 1):
+        if not members.size:
+            continue
+        k = int(k_live[members[0]])
+        rows = np.empty((members.size, k + 1), dtype=np.int64)
+        rows[:, 0] = members
+        rows[:, 1:] = neighbor_rows[first[members, None] + np.arange(k)]
+        plan.append((members, rows, int(budgets[members[0]])))
+    return plan
 
 
 def run_decentralized_dgd(
@@ -239,7 +268,8 @@ def run_decentralized_dgd(
     link_faults / resilience:
         The edge-level fault model and the healing policy (defaults to
         :meth:`ResiliencePolicy.for_link_model`). ``None`` link faults run
-        the perfect-synchrony fast path.
+        the perfect-synchrony fast path. Every agent a partition or churn
+        window names must lie in ``[0, n)``.
     record_states:
         Keep the full ``(T + 1, n, d)`` trajectory (memory permitting).
     validate_feasibility:
@@ -275,6 +305,8 @@ def run_decentralized_dgd(
     honest = [i for i in range(n) if i not in set(faulty)]
     if not honest:
         raise InvalidParameterError("at least one honest agent is required")
+    honest_arr = np.array(honest, dtype=np.int64)
+    faulty_arr = np.array(faulty, dtype=np.int64)
     rng = ensure_rng(seed)
     schedule = step_sizes or suggest_diminishing(costs, aggregation="mean")
     constraint = projection or BoxSet.centered(dimension, 1000.0)
@@ -296,6 +328,15 @@ def run_decentralized_dgd(
     X = project_rows(X)
 
     model = link_faults
+    if model is not None:
+        named = [("partition", agent) for window in model.partitions
+                 for group in window.groups for agent in group]
+        named += [("churn", window.agent) for window in model.churn]
+        for kind, agent in named:
+            if agent >= n:
+                raise InvalidParameterError(
+                    f"{kind} agent {agent} out of range for n={n}"
+                )
     faulted = model is not None and not model.is_null
     policy = resilience
     if policy is None:
@@ -305,31 +346,43 @@ def run_decentralized_dgd(
             else ResiliencePolicy(max_staleness=0)
         )
 
-    # Gather layout: padded neighbor matrix plus the flat directed edge
-    # list (receiver-major, canonical neighbor order within each row).
+    # The flat directed edge list: receiver-major, canonical neighbor
+    # order within each receiver.
     nbr, valid = topology.neighbor_matrix()
     receivers, slots = np.nonzero(valid)
     senders = nbr[receivers, slots]
     num_edges = senders.shape[0]
-    edge_params = model.edge_parameters(senders, receivers) if faulted else None
-    liveness = (
-        NeighborhoodLiveness(senders, receivers, policy.suspicion_threshold)
-        if faulted
-        else None
-    )
 
-    # Freshest-wins per-edge buffers in the padded (n, Δ) layout, and the
-    # broadcast ring buffer serving delayed deliveries.
-    width = nbr.shape[1]
-    P = np.zeros((n, width, dimension))
-    P_round = np.full((n, width), -1, dtype=np.int64)
-    history_len = (model.delay_bound() if faulted else 0) + 1
-    X_hist = np.zeros((history_len, n, dimension))
+    # One gather table: rows [0, n) hold the agents' own states, the rest
+    # what they mix from their neighbors. Under link faults that is the
+    # freshest-wins buffer of edge e at row n + e, fed from a ring of the
+    # last B + 1 broadcasts (slot t % (B + 1) holds round t's, rows
+    # flattened) that serves delayed deliveries; the ring also records
+    # which of its rows are finite. Without link faults every edge
+    # delivers every round, so rows [n, 2n) hold the round's broadcast
+    # and the mixing plan is fixed for the run.
+    if faulted:
+        edge_params = model.edge_parameters(senders, receivers)
+        liveness = NeighborhoodLiveness(
+            senders, receivers, policy.suspicion_threshold
+        )
+        table = np.zeros((n + num_edges, dimension))
+        edge_round = np.full(num_edges, -1, dtype=np.int64)
+        history_len = model.delay_bound() + 1
+        history = np.zeros((history_len * n, dimension))
+        history_finite = np.ones(history_len * n, dtype=bool)
+    else:
+        liveness = None
+        table = np.empty((2 * n, dimension))
+        degrees = valid.sum(axis=1)
+        feasible = (1 + degrees) >= (2 * budgets + 1)
+        plan = _mix_plan(
+            degrees, budgets, feasible & (degrees > 0), n + senders
+        )
+        degraded_per_round = int((~feasible[honest_arr]).sum())
 
     gradient_stack = _quadratic_gradient_stack(costs)
     faulty_costs = [costs[i] for i in faulty]
-    honest_arr = np.array(honest, dtype=np.int64)
-    faulty_arr = np.array(faulty, dtype=np.int64)
 
     counters = {
         "dropped_edges": 0,
@@ -364,7 +417,13 @@ def run_decentralized_dgd(
         for t in range(iterations):
             # 1. Broadcast matrix: honest agents broadcast their states;
             # Byzantine agents broadcast forged states.
-            B = X
+            table[:n] = X
+            if faulted:
+                slot = t % history_len
+                B = history[slot * n : (slot + 1) * n]
+            else:
+                B = table[n:]
+            B[...] = X
             if faulty:
                 context = AttackContext(
                     round_index=t,
@@ -375,31 +434,39 @@ def run_decentralized_dgd(
                     faulty_costs=faulty_costs,
                     rng=rng,
                 )
-                B = X.copy()
                 B[faulty_arr] = behavior(context)
-            X_hist[t % history_len] = B
 
-            # 2. Link fault draws and payload resolution.
+            # 2. Link fault draws, payload resolution, and the round's
+            # mixing plan over the live edges.
+            down = None
             if faulted:
+                if policy.quarantine_non_finite:
+                    finite_rows = np.isfinite(B).all(axis=1)
+                    history_finite[slot * n : (slot + 1) * n] = finite_rows
                 draws = model.draw_link_faults(t, senders, receivers, edge_params)
                 dropped, delay = draws["dropped"], draws["delay"]
                 origin = t - delay
                 delivered = ~dropped & (origin >= 0)
-                payloads = X_hist[origin % history_len, senders]
-                corrupt = draws["corrupt"] & delivered
-                if corrupt.any():
-                    rows = np.flatnonzero(corrupt)
-                    payloads[rows] = corrupt_payload_rows(
-                        payloads[rows],
-                        edge_params["corrupt_mode_index"][rows],
+                # Ring row of each edge's payload: its sender's broadcast
+                # at its origin round (corrupted edges carry a damaged copy).
+                slot_rows = (t - np.arange(history_len)) % history_len * n
+                source = slot_rows[delay] + senders
+                corrupt = np.flatnonzero(draws["corrupt"] & delivered)
+                if corrupt.size:
+                    damaged = corrupt_payload_rows(
+                        history.take(source[corrupt], axis=0),
+                        edge_params["corrupt_mode_index"][corrupt],
                         model.seed,
                         t,
-                        senders[rows],
-                        receivers[rows],
+                        senders[corrupt],
+                        receivers[corrupt],
                     )
-                    counters["corrupted_edges"] += int(rows.shape[0])
+                    counters["corrupted_edges"] += int(corrupt.size)
                 if policy.quarantine_non_finite:
-                    bad = delivered & ~np.isfinite(payloads).all(axis=1)
+                    finite = history_finite[source]
+                    if corrupt.size:
+                        finite[corrupt] = np.isfinite(damaged).all(axis=1)
+                    bad = delivered & ~finite
                     counters["quarantined"] += int(bad.sum())
                     delivered &= ~bad
                 dropped_now = int(dropped.sum())
@@ -409,44 +476,37 @@ def run_decentralized_dgd(
                 counters["suspected_edge_events"] += newly
                 counters["reinstated_edge_events"] += reinstated
                 # Freshest-wins buffer update.
-                upd = delivered & (origin > P_round[receivers, slots])
-                P[receivers[upd], slots[upd]] = payloads[upd]
-                P_round[receivers[upd], slots[upd]] = origin[upd]
-                live = valid & (P_round >= 0) & (t - P_round <= policy.max_staleness)
-                counters["stale_reuses"] += int((live & (P_round < t)).sum())
+                fresh = delivered & (origin > edge_round)
+                upd = np.flatnonzero(fresh)
+                table[n + upd] = history.take(source[upd], axis=0)
+                if corrupt.size:
+                    stored = fresh[corrupt]
+                    table[n + corrupt[stored]] = damaged[stored]
+                edge_round[upd] = origin[upd]
+                live = (edge_round >= 0) & (t - edge_round <= policy.max_staleness)
+                counters["stale_reuses"] += int((live & (edge_round < t)).sum())
                 down = model.down_mask(t, n)
                 counters["frozen_agent_rounds"] += int(down.sum())
-            else:
-                P[receivers, slots] = B[senders]
-                P_round[receivers, slots] = t
-                live = valid
-                down = None
 
-            # 3. Dynamic per-agent (k_i, f_i) accounting and grouped mixing.
-            k_live = live.sum(axis=1)
-            feasible = (1 + k_live) >= (2 * budgets + 1)
-            mix = X.copy()  # degraded agents fall back to their own state
-            counters["degraded_agent_rounds"] += int(
-                (~feasible[honest_arr]).sum()
-                if down is None
-                else (~feasible[honest_arr] & ~down[honest_arr]).sum()
-            )
-            # Canonical live-slot extraction: a stable argsort on the
-            # (negated) live mask lists each row's live slots first, in
-            # canonical neighbor order.
-            order = np.argsort(~live, axis=1, kind="stable")
-            class_key = k_live * (budgets.max() + 1) + budgets
-            active = feasible & (k_live > 0)
-            if down is not None:
-                active &= ~down
-            for key in np.unique(class_key[active]):
-                members = np.flatnonzero(active & (class_key == key))
-                k = int(k_live[members[0]])
-                f_local = int(budgets[members[0]])
-                gathered = P[members[:, None], order[members, :k]]
-                own = X[members]
-                closed = np.concatenate([own[:, None, :], gathered], axis=1)
-                mix[members] = _group_mix(closed, own, f_local, aggregation)
+                k_live = np.bincount(receivers[live], minlength=n)
+                feasible = (1 + k_live) >= (2 * budgets + 1)
+                counters["degraded_agent_rounds"] += int(
+                    (~feasible[honest_arr] & ~down[honest_arr]).sum()
+                )
+                plan = _mix_plan(
+                    k_live, budgets, feasible & (k_live > 0) & ~down,
+                    n + np.flatnonzero(live),
+                )
+            else:
+                counters["degraded_agent_rounds"] += degraded_per_round
+
+            # 3. Grouped mixing; agents outside the plan (degraded, frozen
+            # or isolated) keep their own state.
+            mix = X.copy()
+            for members, rows, f_local in plan:
+                mix[members] = _group_mix(
+                    table.take(rows, axis=0), f_local, aggregation
+                )
 
             # 4. Projected gradient step at the mixed point (frozen agents
             # hold their state).
@@ -478,19 +538,12 @@ def run_decentralized_dgd(
                     # its 2f_i+1 redundancy floor, and which links
                     # changed suspicion state this round. Consumed by
                     # the agent_health anomaly pass in perf/traces.py.
-                    degraded_mask = ~feasible
-                    if down is not None:
-                        degraded_mask = degraded_mask & ~down
                     tel.emit(
                         "agent_health",
                         round=t,
                         live_in_degree=k_live.tolist(),
-                        degraded=np.flatnonzero(degraded_mask).tolist(),
-                        frozen=(
-                            np.flatnonzero(down).tolist()
-                            if down is not None
-                            else []
-                        ),
+                        degraded=np.flatnonzero(~feasible & ~down).tolist(),
+                        frozen=np.flatnonzero(down).tolist(),
                         dropped_edges=dropped_now,
                         bytes_dropped=dropped_now * dimension * 8,
                         suspected_edges=[

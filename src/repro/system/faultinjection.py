@@ -60,7 +60,9 @@ __all__ = [
     "corrupt_cache_entry",
     "deterministic_draw",
     "deterministic_draw_array",
+    "deterministic_draw_rows",
     "deterministic_choice",
+    "draw_key_hashes",
 ]
 
 
@@ -120,6 +122,50 @@ def deterministic_draw_array(seed: int, *keys) -> np.ndarray:
         for index, key in enumerate(arrays):
             salted = key + np.uint64(index + 1) * _SM64_GOLDEN
             state = _splitmix64(state ^ _splitmix64(salted))
+    return (state >> np.uint64(11)).astype(np.float64) * (1.0 / 2**53)
+
+
+def draw_key_hashes(first_position: int, *keys) -> np.ndarray:
+    """The terms :func:`deterministic_draw_array` folds in for array keys.
+
+    ``deterministic_draw_array`` folds its keys left to right, and the term
+    a key contributes depends only on the key and its position. A schedule
+    that draws over the same keys (say, the directed edges of a graph)
+    every round can therefore hash them once: this returns the
+    ``(len(keys), *shape)`` uint64 terms of ``keys`` placed at key
+    positions ``first_position, first_position + 1, ...``. Finish the
+    draws with :func:`deterministic_draw_rows`.
+    """
+    with np.errstate(over="ignore"):
+        arrays = np.broadcast_arrays(
+            *(np.asarray(k, dtype=np.int64).astype(np.uint64) for k in keys)
+        )
+        return np.stack([
+            _splitmix64(key + np.uint64(first_position + index + 1) * _SM64_GOLDEN)
+            for index, key in enumerate(arrays)
+        ])
+
+
+def deterministic_draw_rows(seed: int, prefixes, key_hashes: np.ndarray) -> np.ndarray:
+    """``deterministic_draw_array`` for many scalar prefixes over hashed keys.
+
+    ``prefixes`` is an ``(R, m)`` table of integer keys and ``key_hashes``
+    is ``draw_key_hashes(m, *keys)``. Row ``j`` of the result equals
+    ``deterministic_draw_array(seed, *prefixes[j], *keys)`` bit for bit:
+    the prefixes fold into ``R`` scalar states, and each hashed key costs
+    one splitmix64 pass over all ``R`` rows at once.
+    """
+    prefixes = np.asarray(prefixes, dtype=np.int64).astype(np.uint64)
+    with np.errstate(over="ignore"):
+        state = _splitmix64(
+            np.full(prefixes.shape[0], np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+        )
+        for index in range(prefixes.shape[1]):
+            salted = prefixes[:, index] + np.uint64(index + 1) * _SM64_GOLDEN
+            state = _splitmix64(state ^ _splitmix64(salted))
+        state = state.reshape(state.shape + (1,) * (key_hashes.ndim - 1))
+        for term in key_hashes:
+            state = _splitmix64(state ^ term)
     return (state >> np.uint64(11)).astype(np.float64) * (1.0 / 2**53)
 
 

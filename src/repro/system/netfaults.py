@@ -43,6 +43,8 @@ from repro.system.faultinjection import (
     deterministic_choice,
     deterministic_draw,
     deterministic_draw_array,
+    deterministic_draw_rows,
+    draw_key_hashes,
 )
 from repro.system.messages import GradientMessage, Message
 from repro.system.network import DeliveryRecord, SynchronousNetwork
@@ -636,6 +638,13 @@ _LINK_TAG_CORRUPT = 104
 _LINK_TAG_CORRUPT_POS = 105
 _LINK_TAG_CORRUPT_SIGN = 106
 _LINK_TAG_CORRUPT_BIT = 107
+#: The draws every edge takes each round, in the order they are unpacked.
+_LINK_ROUND_TAGS = (
+    _LINK_TAG_DROP,
+    _LINK_TAG_DELAY_GATE,
+    _LINK_TAG_DELAY_LAG,
+    _LINK_TAG_CORRUPT,
+)
 
 
 @dataclass(frozen=True)
@@ -875,28 +884,67 @@ class LinkFaultModel:
 
     def edge_parameters(
         self, senders: np.ndarray, receivers: np.ndarray
-    ) -> Dict[str, np.ndarray]:
+    ) -> Dict[str, object]:
         """Per-edge fault parameters for a fixed directed edge list.
 
-        Resolves profile lookups once so the per-round draw path is pure
-        array arithmetic. ``corrupt_mode_index`` indexes into
-        :data:`CORRUPTION_MODES`.
+        Everything the per-round draws need that does not change between
+        rounds, computed once so :meth:`draw_link_faults` is pure array
+        arithmetic:
+
+        - the profile fields, filled from the default profile and then
+          overwritten by ``link_profiles`` (directed key first, then its
+          reverse); ``corrupt_mode_index`` indexes into
+          :data:`CORRUPTION_MODES`;
+        - ``draw_keys``: the hashed ``(sender, receiver)`` terms of the
+          round's draws (:func:`~repro.system.faultinjection.draw_key_hashes`);
+        - ``partition_cuts``: per partition window, the edges it cuts;
+        - ``churn_edges``: per churn window, the edges touching its agent.
         """
         senders = np.asarray(senders, dtype=np.int64)
         receivers = np.asarray(receivers, dtype=np.int64)
-        profiles = [
-            self.profile_for(u, v)
-            for u, v in zip(senders.tolist(), receivers.tolist())
-        ]
+        num_edges = senders.shape[0]
+        fields = {
+            "drop_prob": np.empty(num_edges),
+            "delay_prob": np.empty(num_edges),
+            "max_delay": np.empty(num_edges, dtype=np.int64),
+            "corrupt_prob": np.empty(num_edges),
+            "corrupt_mode_index": np.empty(num_edges, dtype=np.int64),
+        }
+
+        def fill(edges, profile: LinkFaultProfile) -> None:
+            fields["drop_prob"][edges] = profile.drop_prob
+            fields["delay_prob"][edges] = profile.delay_prob
+            fields["max_delay"][edges] = profile.max_delay
+            fields["corrupt_prob"][edges] = profile.corrupt_prob
+            fields["corrupt_mode_index"][edges] = CORRUPTION_MODES.index(
+                profile.corrupt_mode
+            )
+
+        fill(slice(None), self.default_profile)
+        # A key governs its own direction, and the reverse one unless that
+        # direction has a key of its own.
+        overrides = {(v, u): p for (u, v), p in self.link_profiles.items()}
+        overrides.update(self.link_profiles)
+        for (u, v), profile in overrides.items():
+            fill((senders == u) & (receivers == v), profile)
+
+        def group_of(agents: np.ndarray, window: PartitionWindow) -> np.ndarray:
+            labels = np.full(agents.shape, len(window.groups), dtype=np.int64)
+            for index, group in enumerate(window.groups):
+                labels[np.isin(agents, group)] = index
+            return labels
+
         return {
-            "drop_prob": np.array([p.drop_prob for p in profiles]),
-            "delay_prob": np.array([p.delay_prob for p in profiles]),
-            "max_delay": np.array([p.max_delay for p in profiles], dtype=np.int64),
-            "corrupt_prob": np.array([p.corrupt_prob for p in profiles]),
-            "corrupt_mode_index": np.array(
-                [CORRUPTION_MODES.index(p.corrupt_mode) for p in profiles],
-                dtype=np.int64,
-            ),
+            **fields,
+            "draw_keys": draw_key_hashes(2, senders, receivers),
+            "partition_cuts": [
+                group_of(senders, window) != group_of(receivers, window)
+                for window in self.partitions
+            ],
+            "churn_edges": [
+                (senders == window.agent) | (receivers == window.agent)
+                for window in self.churn
+            ],
         }
 
     # -- per-round draws ------------------------------------------------
@@ -913,19 +961,12 @@ class LinkFaultModel:
                 mask[window.agent] = True
         return mask
 
-    def partition_labels(self, round_index: int, n: int) -> Optional[np.ndarray]:
-        """Group labels if a partition window is active this round, else None."""
-        for window in self.partitions:
-            if window.active_at(round_index):
-                return window.labels(n)
-        return None
-
     def draw_link_faults(
         self,
         round_index: int,
         senders: np.ndarray,
         receivers: np.ndarray,
-        params: Optional[Dict[str, np.ndarray]] = None,
+        params: Optional[Dict[str, object]] = None,
     ) -> Dict[str, np.ndarray]:
         """One round of link fault draws for a directed edge list.
 
@@ -933,50 +974,30 @@ class LinkFaultModel:
         bool(E,)}``. Partition cuts and churn silences are folded into
         ``dropped``; ``delay`` is 0 for undelayed (or dropped) edges.
         Every draw is a pure function of ``(seed, tag, round, sender,
-        receiver)`` — no state, exact replay.
+        receiver)`` — no state, exact replay. ``params`` must come from
+        :meth:`edge_parameters` over the same edge list.
         """
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
         if params is None:
             params = self.edge_parameters(senders, receivers)
-        dropped = (
-            deterministic_draw_array(
-                self.seed, _LINK_TAG_DROP, round_index, senders, receivers
-            )
-            < params["drop_prob"]
+        drop_draw, gate_draw, lag_draw, corrupt_draw = deterministic_draw_rows(
+            self.seed,
+            [(tag, round_index) for tag in _LINK_ROUND_TAGS],
+            params["draw_keys"],
         )
-        labels = self.partition_labels(round_index, int(max(senders.max(initial=-1), receivers.max(initial=-1))) + 1 if senders.size else 0)
-        if labels is not None:
-            dropped |= labels[senders] != labels[receivers]
-        if self.churn:
-            down = self.down_mask(
-                round_index,
-                int(max(senders.max(initial=-1), receivers.max(initial=-1))) + 1
-                if senders.size
-                else 0,
-            )
-            dropped |= down[senders] | down[receivers]
-        delay_gate = (
-            deterministic_draw_array(
-                self.seed, _LINK_TAG_DELAY_GATE, round_index, senders, receivers
-            )
-            < params["delay_prob"]
-        )
-        lag_draw = deterministic_draw_array(
-            self.seed, _LINK_TAG_DELAY_LAG, round_index, senders, receivers
-        )
+        dropped = drop_draw < params["drop_prob"]
+        for window, cut in zip(self.partitions, params["partition_cuts"]):
+            if window.active_at(round_index):
+                dropped |= cut
+        for window, touching in zip(self.churn, params["churn_edges"]):
+            if window.is_down(round_index):
+                dropped |= touching
         delay = np.where(
-            delay_gate & ~dropped,
+            (gate_draw < params["delay_prob"]) & ~dropped,
             1 + (lag_draw * np.maximum(params["max_delay"], 1)).astype(np.int64),
             0,
         )
         delay = np.minimum(delay, params["max_delay"])
-        corrupt = (
-            deterministic_draw_array(
-                self.seed, _LINK_TAG_CORRUPT, round_index, senders, receivers
-            )
-            < params["corrupt_prob"]
-        ) & ~dropped
+        corrupt = (corrupt_draw < params["corrupt_prob"]) & ~dropped
         return {"dropped": dropped, "delay": delay, "corrupt": corrupt}
 
 

@@ -190,6 +190,26 @@ class TestAdaptiveAttacks:
         out = ALittleIsEnough()(ctx)
         assert np.all(np.isfinite(out))
 
+    def test_alie_default_z_computed_once_per_n_f(self, monkeypatch):
+        # The default z is a normal quantile of (n, f) alone, so a batch
+        # of 8 seeds x 50 rounds must not evaluate it 400 times.
+        from scipy.stats import norm
+
+        from repro.problems.linear_regression import make_redundant_regression
+        from repro.system.batch import run_dgd_batch
+        from repro.system.runner import DGDConfig
+
+        calls = []
+        ppf = norm.ppf
+        monkeypatch.setattr(norm, "ppf", lambda q: calls.append(q) or ppf(q))
+        instance = make_redundant_regression(n=6, d=2, f=1, seed=3)
+        config = DGDConfig(iterations=50, gradient_filter="cge", faulty_ids=(1,), f=1)
+        traces = run_dgd_batch(
+            instance.costs, ALittleIsEnough(), config, seeds=list(range(8))
+        )
+        assert len(traces) == 8
+        assert len(calls) <= 1
+
     def test_ipm_direction(self):
         ctx = make_context()
         out = InnerProductManipulation(scale=0.5)(ctx)
