@@ -17,6 +17,10 @@ channels:
   in the next round; after round ``f + 1`` it delivers the unique extracted
   value, or the fallback ``⊥`` when zero or multiple values were extracted.
 
+Each signed message is queued once per round with a bitmask of its
+recipients, and reaches them in ascending id order; ``messages_sent``
+still counts point-to-point messages.
+
 Guarantees (validated by the test suite over adversarial strategies):
 **agreement** — all honest nodes deliver the same value; **validity** — if
 the sender is honest, that value is the sender's input.
@@ -25,7 +29,7 @@ the sender is honest, that value is the sender's input.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -154,14 +158,18 @@ def byzantine_broadcast(
     value:
         The sender's input (used when the sender is honest).
     faulty:
-        Ids of Byzantine nodes.
+        Ids of Byzantine nodes, each in ``[0, n)``.
     sender_strategy:
         Round-1 misbehaviour when the sender is faulty; defaults to honest
-        behaviour even for a faulty sender (a valid Byzantine choice).
+        behaviour even for a faulty sender (a valid Byzantine choice). It
+        may address only nodes in ``[0, n)``.
     relay_withholding:
         Whether faulty relays withhold known values until the final round
         (the adversarial relay schedule); if ``False`` they simply never
         relay.
+
+    Agreement is checked on the delivered values' bit patterns, so a
+    non-finite value that every honest node extracted is agreed on.
     """
     check_fault_bound(n, f, architecture="peer")
     faulty_set: Set[int] = set(int(i) for i in faulty)
@@ -169,57 +177,75 @@ def byzantine_broadcast(
         raise InvalidParameterError(f"{len(faulty_set)} faulty nodes exceed f={f}")
     if not 0 <= sender < n:
         raise InvalidParameterError(f"sender {sender} out of range")
+    if any(not 0 <= i < n for i in faulty_set):
+        raise InvalidParameterError(
+            f"faulty ids must lie in [0, {n}), got {sorted(faulty_set)}"
+        )
     honest = [i for i in range(n) if i not in faulty_set]
     rounds = f + 1
     messages_sent = 0
+    everyone = (1 << n) - 1
+    faulty_mask = sum(1 << i for i in faulty_set)
+    honest_mask = everyone ^ faulty_mask
 
-    # extracted[node] maps value-key -> value; honest nodes relay new values.
-    extracted: Dict[int, Dict[bytes, np.ndarray]] = {i: {} for i in honest}
-    # Messages scheduled for delivery at the start of each round.
-    pending: Dict[int, List[Tuple[int, SignedMessage]]] = {r: [] for r in range(1, rounds + 2)}
+    # extracted[node]: the values an honest node extracted, in order;
+    # holders[key]: the honest nodes that extracted the value with that key.
+    extracted: Dict[int, List[np.ndarray]] = {i: [] for i in honest}
+    holders: Dict[bytes, int] = {}
+    # Messages delivered in each round, each with its recipients' bitmask.
+    pending: Dict[int, List[Tuple[SignedMessage, int]]] = {
+        r: [] for r in range(1, rounds + 1)
+    }
     # Everything the adversary has seen (valid chains addressed to faulty nodes).
     adversary_pool: List[SignedMessage] = []
 
     # --- Round 1: the sender speaks. ---
     if sender in faulty_set and sender_strategy is not None:
         initial = sender_strategy.initial_messages(sender, list(range(n)), rng)
+        stray = [node for node in initial if node not in range(n)]
+        if stray:
+            raise InvalidParameterError(
+                f"sender strategy addressed nodes outside [0, {n}): {stray}"
+            )
+        # One entry per recipient, in the order the strategy returns them.
         for node, sent_value in initial.items():
             if sent_value is None:
                 continue
             message = SignedMessage(np.asarray(sent_value, dtype=float), (sender,))
-            pending[1].append((node, message))
+            pending[1].append((message, 1 << int(node)))
             messages_sent += 1
     else:
         if value is None:
             raise InvalidParameterError("an honest sender needs an input value")
         payload = check_vector(value, name="value")
-        for node in range(n):
-            pending[1].append((node, SignedMessage(payload, (sender,))))
-            messages_sent += 1
+        pending[1].append((SignedMessage(payload, (sender,)), everyone))
+        messages_sent += n
 
     # --- Rounds 1 .. f+1: relay with signature chains. ---
     for round_index in range(1, rounds + 1):
-        deliveries = pending[round_index]
-        for node, message in deliveries:
-            if len(message.chain) != round_index or message.chain[0] != sender:
+        relays = pending[round_index + 1] if round_index < rounds else None
+        for message, recipients in pending[round_index]:
+            chain = message.chain
+            if len(chain) != round_index or chain[0] != sender:
                 raise ProtocolViolationError("malformed signature chain in simulator")
-            if node in faulty_set:
+            if recipients & faulty_mask:
                 adversary_pool.append(message)
-                continue
-            store = extracted.get(node)
-            if store is None:
-                continue
             key = _key(message.value)
-            if key in store:
+            held = holders.get(key, 0)
+            fresh = recipients & honest_mask & ~held
+            if not fresh:
                 continue
-            store[key] = message.value
-            # Honest relay: sign and forward to everyone next round.
-            if round_index < rounds and node != sender and node not in message.chain:
-                relayed = message.extended_by(node)
-                for other in range(n):
-                    if other != node:
-                        pending[round_index + 1].append((other, relayed))
-                        messages_sent += 1
+            holders[key] = held | fresh
+            # New holders extract in ascending id order; each signs and
+            # relays to everyone else next round.
+            while fresh:
+                bit = fresh & -fresh
+                fresh ^= bit
+                node = bit.bit_length() - 1
+                extracted[node].append(message.value)
+                if relays is not None and node != sender and node not in chain:
+                    relays.append((message.extended_by(node), everyone ^ bit))
+                    messages_sent += n - 1
         # Faulty relays: withhold until the last round, then reveal to a
         # minority of honest nodes — the adversarial schedule Dolev-Strong
         # is designed to defeat.
@@ -232,23 +258,22 @@ def byzantine_broadcast(
                     break
                 chain_message = chain_message.extended_by(signer)
             if len(chain_message.chain) == rounds:
-                for node in honest[: max(len(honest) // 2, 1)]:
-                    pending[rounds].append((node, chain_message))
-                    messages_sent += 1
+                minority = honest[: max(len(honest) // 2, 1)]
+                pending[rounds].append((chain_message, sum(1 << i for i in minority)))
+                messages_sent += len(minority)
 
     # --- Delivery decision. ---
     delivered: Dict[int, Optional[np.ndarray]] = {}
     for node in honest:
-        values = list(extracted[node].values())
+        values = extracted[node]
         delivered[node] = values[0].copy() if len(values) == 1 else None
 
+    # Agreement on bit patterns, so a NaN payload agrees with itself.
     witness = delivered[honest[0]]
+    witness_key = None if witness is None else _key(witness)
     for node in honest[1:]:
         other = delivered[node]
-        same = (witness is None and other is None) or (
-            witness is not None and other is not None and np.array_equal(witness, other)
-        )
-        if not same:
+        if (None if other is None else _key(other)) != witness_key:
             raise ProtocolViolationError(
                 "Byzantine broadcast violated agreement — simulator bug"
             )

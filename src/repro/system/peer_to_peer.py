@@ -260,7 +260,10 @@ def run_peer_to_peer_dgd(
         for t in range(iterations):
             with tel.span("round"):
                 reference = local[honest[0]]
-                honest_gradients = np.stack([costs[i].gradient(local[i]) for i in honest])
+                # One gradient per honest agent and round: the attack context
+                # sees exactly the payload that agent broadcasts.
+                payloads = {i: costs[i].gradient(local[i]) for i in honest}
+                honest_gradients = np.stack(list(payloads.values()))
                 # Faulty agents forge gradients knowing the honest ones (rushing).
                 forged: Dict[int, np.ndarray] = {}
                 if faulty:
@@ -287,11 +290,7 @@ def run_peer_to_peer_dgd(
                                 n, f, sender, value=None, faulty=faulty, sender_strategy=strategy, rng=rng
                             )
                         else:
-                            payload = (
-                                forged[sender]
-                                if sender in forged
-                                else costs[sender].gradient(local[sender])
-                            )
+                            payload = forged[sender] if sender in forged else payloads[sender]
                             result = byzantine_broadcast(n, f, sender, payload, faulty=faulty, rng=rng)
                         broadcast_messages += result.messages_sent
                         agreed = result.agreed_value

@@ -264,6 +264,41 @@ def _alive(pid):
         return False
 
 
+def _start_time(pid):
+    # Clock ticks since boot at which ``pid`` started: with the pid it
+    # identifies one process even if the pid is later reused.
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return int(handle.read().rsplit(")", 1)[1].split()[19])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _identities(pids):
+    return [(pid, _start_time(pid)) for pid in pids]
+
+
+def _reap(processes, timeout=10.0):
+    """SIGKILL each ``(pid, start time)`` still running after ``timeout`` s.
+
+    A killed server's pool workers are reparented to init and ignore
+    SIGTERM, so nothing else stops them.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        processes = [(pid, start) for pid, start in processes
+                     if start is not None and _alive(pid)
+                     and _start_time(pid) == start]
+        if not processes or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    for pid, _ in processes:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 class TestKillDashNineResume:
     def test_killed_server_resumes_without_recomputing_cached_cells(
             self, tmp_path):
@@ -271,6 +306,7 @@ class TestKillDashNineResume:
         sock = str(state / "repro.sock")
         proc = _start_server(state, sock)
         client = ServiceClient(socket_path=sock, timeout=10)
+        spawned = []  # every server's descendants, reaped at the end
         try:
             ids = []
             for i, filt in enumerate(["cge", "cwtm"]):
@@ -289,6 +325,7 @@ class TestKillDashNineResume:
                 assert time.monotonic() < deadline, "no cells finished"
                 time.sleep(0.25)
             workers = _descendants(proc.pid)
+            spawned += _identities(workers)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait()
 
@@ -356,12 +393,14 @@ class TestKillDashNineResume:
                     assert got["final_estimate"] == (
                         ref.final_estimate.tolist())
         finally:
+            spawned += _identities(_descendants(proc.pid))
             if proc.poll() is None:
                 proc.send_signal(signal.SIGTERM)
                 try:
                     proc.wait(timeout=15)
                 except subprocess.TimeoutExpired:
                     proc.kill()
+            _reap(spawned)
 
 
 class TestJobPruning:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import InfeasibleConfigurationError, InvalidParameterError
 from repro.system.broadcast import (
+    ByzantineSenderStrategy,
     EquivocatingSender,
     SilentSender,
     StaggeredEquivocator,
@@ -34,6 +35,16 @@ class TestHonestSender:
         result = byzantine_broadcast(n=3, f=0, sender=1, value=np.ones(2))
         assert result.rounds == 1
         assert np.allclose(result.agreed_value, 1.0)
+
+
+class FixedSender(ByzantineSenderStrategy):
+    """Send fixed per-recipient values, exactly as given."""
+
+    def __init__(self, messages):
+        self._messages = messages
+
+    def initial_messages(self, sender, recipients, rng):
+        return dict(self._messages)
 
 
 class TestFaultySender:
@@ -71,6 +82,18 @@ class TestFaultySender:
         result = byzantine_broadcast(n=4, f=1, sender=0, value=value, faulty=[0])
         assert np.allclose(result.agreed_value, value)
 
+    def test_same_non_finite_value_to_everyone_is_agreement(self):
+        # Agreement is on bit patterns: NaN != NaN must not read as a split.
+        value = np.array([np.nan, 1.0])
+        result = byzantine_broadcast(
+            n=4, f=1, sender=1, value=None, faulty=[1],
+            sender_strategy=FixedSender({node: value for node in range(4)}),
+        )
+        assert set(result.delivered) == {0, 2, 3}
+        for delivered in result.delivered.values():
+            assert delivered.tobytes() == value.tobytes()
+        assert result.agreed_value.tobytes() == value.tobytes()
+
 
 class TestValidation:
     def test_peer_fault_bound_enforced(self):
@@ -84,6 +107,25 @@ class TestValidation:
     def test_sender_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             byzantine_broadcast(n=4, f=1, sender=9, value=np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "n, f, faulty", [(4, 1, [9]), (4, 1, [4]), (4, 1, [-1]), (7, 2, [0, 7])]
+    )
+    def test_faulty_ids_out_of_range(self, n, f, faulty):
+        # Unchecked, such an id counts toward f while every node runs honest.
+        with pytest.raises(InvalidParameterError, match="faulty ids"):
+            byzantine_broadcast(n=n, f=f, sender=0, value=np.zeros(1), faulty=faulty)
+
+    @pytest.mark.parametrize("stray", [4, 9, -1])
+    def test_strategy_recipient_out_of_range(self, stray):
+        # Unchecked, such a recipient is dropped without a trace.
+        messages = {node: np.ones(1) for node in range(4)}
+        messages[stray] = np.ones(1)
+        with pytest.raises(InvalidParameterError, match="outside"):
+            byzantine_broadcast(
+                n=4, f=1, sender=1, value=None, faulty=[1],
+                sender_strategy=FixedSender(messages),
+            )
 
     def test_honest_sender_needs_value(self):
         with pytest.raises(InvalidParameterError):
