@@ -287,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--workers", type=int, default=None, help="pool size")
     sweep.add_argument(
-        "--backend", choices=["batch", "sequential"], default="batch",
-        help="per-cell execution engine (numerically identical)",
-    )
-    sweep.add_argument(
         "--cache-dir", default=None,
         help="directory for the on-disk trace cache (off by default)",
     )
@@ -517,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default 8)")
     serve.add_argument("--sequential", action="store_true",
                        help="run jobs without a process pool")
-    serve.add_argument("--backend", choices=["batch", "sequential"],
-                       default="batch",
-                       help="per-cell execution engine for sweep jobs")
     serve.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS", help="per-chunk wall-clock budget")
     serve.add_argument("--retries", type=int, default=2, metavar="N",
@@ -1029,7 +1022,6 @@ def _command_sweep(args) -> int:
             parallel=not args.sequential,
             max_workers=args.workers,
             cache_dir=args.cache_dir,
-            backend=args.backend,
             timeout=args.timeout,
             retries=args.retries,
             events=args.events,
@@ -1458,7 +1450,6 @@ def _command_serve(args) -> int:
             max_queue=args.max_queue,
             per_client=args.per_client,
             parallel=not args.sequential,
-            backend=args.backend,
             timeout=args.timeout,
             retries=args.retries,
             job_ttl=args.job_ttl,

@@ -7,10 +7,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.attacks.registry import make_attack
-from repro.exceptions import InvalidParameterError
 from repro.problems.linear_regression import RegressionInstance, paper_instance
 from repro.system.batch import run_dgd_batch
-from repro.system.runner import Trace, run_dgd
+from repro.system.runner import Trace
 from repro.utils.rng import SeedLike
 
 #: The initial estimate the paper's executions all share.
@@ -18,17 +17,6 @@ PAPER_X0 = (-0.0085, -0.5643)
 
 #: The attack names exercised by the regression experiments.
 REGRESSION_ATTACKS = ("gradient-reverse", "random", "sign-flip", "zero")
-
-#: Execution backends understood by the experiment entry points.
-BACKENDS = ("sequential", "batch")
-
-
-def check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
-        )
-    return backend
 
 
 def paper_setup(noise_std: float = 0.02, seed: SeedLike = 20200803) -> RegressionInstance:
@@ -45,27 +33,12 @@ def run_attacked(
     seed: SeedLike = 1,
     attack_kwargs: Optional[Dict] = None,
     x0=PAPER_X0,
-    backend: str = "sequential",
 ) -> Trace:
-    """One attacked execution on a regression instance.
-
-    ``backend="batch"`` routes through the vectorized engine
-    (:func:`repro.system.batch.run_dgd_batch`), which is bit-identical to
-    the sequential runner; use :func:`run_attacked_multiseed` to amortize
-    its per-call overhead over many seeds.
-    """
-    check_backend(backend)
-    behavior = make_attack(attack_name, **(attack_kwargs or {}))
-    runner = run_dgd if backend == "sequential" else _run_single_batched
-    return runner(
-        instance.costs,
-        behavior,
-        gradient_filter=filter_name,
-        faulty_ids=tuple(faulty_ids),
-        iterations=iterations,
-        seed=seed,
-        x0=np.asarray(x0, dtype=float),
-    )
+    """One attacked execution on a regression instance (a batch of one)."""
+    return run_attacked_multiseed(
+        instance, filter_name, attack_name, [seed], faulty_ids=faulty_ids,
+        iterations=iterations, attack_kwargs=attack_kwargs, x0=x0,
+    )[0]
 
 
 def run_attacked_multiseed(
@@ -77,29 +50,15 @@ def run_attacked_multiseed(
     iterations: int = 500,
     attack_kwargs: Optional[Dict] = None,
     x0=PAPER_X0,
-    backend: str = "batch",
 ) -> List[Trace]:
     """Replicate one attacked configuration across many seeds.
 
-    With the default ``backend="batch"`` all runs execute as one stacked
-    tensor computation; ``backend="sequential"`` loops :func:`run_dgd`
-    (same numbers, for verification and benchmarking).
+    All runs execute as one stacked :func:`repro.system.batch.run_dgd_batch`
+    computation, bit-identical to looping :func:`repro.system.runner.run_dgd`
+    (which the batch engine falls back to for configurations it cannot
+    vectorize).
     """
-    check_backend(backend)
     behavior = make_attack(attack_name, **(attack_kwargs or {}))
-    if backend == "sequential":
-        return [
-            run_dgd(
-                instance.costs,
-                behavior,
-                gradient_filter=filter_name,
-                faulty_ids=tuple(faulty_ids),
-                iterations=iterations,
-                seed=seed,
-                x0=np.asarray(x0, dtype=float),
-            )
-            for seed in seeds
-        ]
     return run_dgd_batch(
         instance.costs,
         behavior,
@@ -117,23 +76,15 @@ def run_fault_free(
     iterations: int = 500,
     seed: SeedLike = 1,
     x0=PAPER_X0,
-    backend: str = "sequential",
 ) -> Trace:
     """The fault-free DGD baseline: faulty agents removed, plain summation."""
-    check_backend(backend)
     honest_costs = [instance.costs[i] for i in honest_ids]
-    runner = run_dgd if backend == "sequential" else _run_single_batched
-    return runner(
+    return run_dgd_batch(
         honest_costs,
         None,
+        seeds=[seed],
         gradient_filter="sum",
         faulty_ids=(),
         iterations=iterations,
-        seed=seed,
         x0=np.asarray(x0, dtype=float),
-    )
-
-
-def _run_single_batched(costs, behavior, seed=0, **config_overrides) -> Trace:
-    """Run one execution through the batch engine (a batch of size one)."""
-    return run_dgd_batch(costs, behavior, seeds=[seed], **config_overrides)[0]
+    )[0]

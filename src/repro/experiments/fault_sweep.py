@@ -31,13 +31,8 @@ def run_fault_sweep(
     iterations: int = 400,
     noise_std: float = 0.0,
     seed: SeedLike = 11,
-    backend: str = "sequential",
 ) -> ExperimentResult:
-    """Regenerate Figure 5 (final error vs number of faults, per filter).
-
-    ``backend="batch"`` executes each run through the vectorized engine
-    (bit-identical results, faster for large grids).
-    """
+    """Regenerate Figure 5 (final error vs number of faults, per filter)."""
     result = ExperimentResult(
         experiment_id="E6",
         title=f"Fault sweep (n={n}, d={d}, attack={attack})",
@@ -63,12 +58,12 @@ def run_fault_sweep(
             if f == 0:
                 trace = run_attacked(
                     instance, filter_name, "zero", faulty_ids=(),
-                    iterations=iterations, seed=seed, backend=backend,
+                    iterations=iterations, seed=seed,
                 )
             else:
                 trace = run_attacked(
                     instance, filter_name, attack, faulty_ids=faulty_ids,
-                    iterations=iterations, seed=seed, backend=backend,
+                    iterations=iterations, seed=seed,
                 )
             error = final_error(trace, x_H)
             row.append(error)

@@ -32,13 +32,8 @@ def run_noise_sweep(
     iterations: int = 500,
     seed: SeedLike = 20200803,
     include_exact_algorithm: bool = True,
-    backend: str = "sequential",
 ) -> ExperimentResult:
-    """Regenerate Figure 4 (error vs redundancy-violation sweep).
-
-    ``backend="batch"`` executes each run through the vectorized engine
-    (bit-identical results).
-    """
+    """Regenerate Figure 4 (error vs redundancy-violation sweep)."""
     result = ExperimentResult(
         experiment_id="E5",
         title=f"Redundancy violation sweep (n={n}, f={f}, d={d}, gradient-reverse attack)",
@@ -56,7 +51,7 @@ def run_noise_sweep(
         margin = measure_redundancy_margin(instance.costs, f).margin
         trace = run_attacked(
             instance, "cge", "gradient-reverse", faulty_ids=tuple(range(f)),
-            iterations=iterations, seed=seed, backend=backend,
+            iterations=iterations, seed=seed,
         )
         error = final_error(trace, x_H)
         if include_exact_algorithm:

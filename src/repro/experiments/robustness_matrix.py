@@ -16,11 +16,10 @@ import numpy as np
 from repro.analysis.metrics import final_error
 from repro.analysis.reporting import ExperimentResult
 from repro.attacks.registry import make_attack
-from repro.experiments.common import check_backend, paper_setup
+from repro.experiments.common import paper_setup
 from repro.experiments.sweep import parallel_map
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.system.batch import run_dgd_batch
-from repro.system.runner import run_dgd
 from repro.utils.rng import SeedLike
 
 _DEFAULT_FILTERS = ("cge", "cwtm", "median", "geomed", "krum", "multikrum", "mom", "gmom", "average")
@@ -42,24 +41,14 @@ def _matrix_cell(task: Dict):
     x_H = instance.honest_minimizer(honest)
     behavior = make_attack(task["attack"], **task["attack_kwargs"])
     try:
-        if task["backend"] == "batch":
-            trace = run_dgd_batch(
-                instance.costs,
-                behavior,
-                seeds=[task["seed"]],
-                gradient_filter=task["filter"],
-                faulty_ids=faulty,
-                iterations=task["iterations"],
-            )[0]
-        else:
-            trace = run_dgd(
-                instance.costs,
-                behavior,
-                gradient_filter=task["filter"],
-                faulty_ids=faulty,
-                iterations=task["iterations"],
-                seed=task["seed"],
-            )
+        trace = run_dgd_batch(
+            instance.costs,
+            behavior,
+            seeds=[task["seed"]],
+            gradient_filter=task["filter"],
+            faulty_ids=faulty,
+            iterations=task["iterations"],
+        )[0]
     except (InvalidParameterError, ReproError):
         return "n/a"
     return final_error(trace, x_H)
@@ -72,7 +61,6 @@ def run_robustness_matrix(
     noise_std: float = 0.02,
     attack_kwargs: Optional[Dict[str, Dict]] = None,
     seed: SeedLike = 20200803,
-    backend: str = "sequential",
     parallel: bool = False,
     max_workers: Optional[int] = None,
 ) -> ExperimentResult:
@@ -80,11 +68,9 @@ def run_robustness_matrix(
 
     A filter that cannot run in the configuration (e.g. Bulyan's
     ``n >= 4f + 3``) is reported as ``n/a`` rather than silently skipped.
-    ``parallel=True`` fans the grid's cells over a process pool and
-    ``backend="batch"`` routes each cell through the vectorized engine;
-    both produce bit-identical numbers to the sequential defaults.
+    ``parallel=True`` fans the grid's cells over a process pool, with
+    numbers bit-identical to the in-process default.
     """
-    check_backend(backend)
     attack_kwargs = attack_kwargs or {}
     tasks = [
         {
@@ -95,7 +81,6 @@ def run_robustness_matrix(
             "iterations": iterations,
             "noise_std": noise_std,
             "seed": seed,
-            "backend": backend,
         }
         for filter_name in filters
         for attack_name in attacks

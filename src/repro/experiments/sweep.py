@@ -241,10 +241,10 @@ def _cell_cache_payload(grid_fields: Dict, filter_name: str, attack_name: str,
                         f: int, seed: int) -> Dict:
     """The exact configuration a cell's cache key is derived from.
 
-    Excludes execution details (batch-vs-sequential engine, worker count,
-    chunking, timeout, retries) on purpose: the batch engine is
-    bit-identical to the sequential runner and the resilience machinery
-    only re-executes pure work, so none of them can change the result.
+    Excludes execution details (vectorized or ``run_dgd`` fallback, worker
+    count, chunking, timeout, retries) on purpose: the batch engine is
+    bit-identical to its fallback and the resilience machinery only
+    re-executes pure work, so none of them can change the result.
     """
     return {
         "kind": "regression-dgd",
@@ -273,18 +273,21 @@ def _valid_cell_payload(payload) -> bool:
                                           "estimates"))
 
 
-def _load_cache_entry(path: str) -> Optional[Dict]:
+def _load_cache_entry(path: str, valid: Callable[[object], bool]) -> Optional[Dict]:
     """Read one cache entry; ``None`` means corrupt/invalid (recompute).
 
-    Never raises on bad content: truncated JSON, checksum mismatches, and
-    shape violations all report as a miss, and the damaged file is removed
-    so the rewrite is clean.
+    Shared by every cached grid; ``valid`` is the grid's own shape check
+    (a checksummed document of the wrong shape, e.g. another grid's entry
+    under a colliding key, is as unusable as a truncated one). Never
+    raises on bad content: truncated JSON, checksum mismatches, and shape
+    violations all report as a miss, and the damaged file is removed so
+    the rewrite is clean.
     """
     try:
         payload = read_json_checked(path)
     except CacheIntegrityError:
         payload = None
-    if payload is not None and not _valid_cell_payload(payload):
+    if payload is not None and not valid(payload):
         payload = None
     if payload is None:
         try:
@@ -309,12 +312,11 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     from repro.observability import Telemetry, TraceContext
     from repro.problems.linear_regression import make_redundant_regression
     from repro.system.batch import run_dgd_batch
-    from repro.system.runner import DGDConfig, run_dgd
+    from repro.system.runner import DGDConfig
 
     grid_fields = task["grid_fields"]
     filter_name, attack_name, f = task["filter"], task["attack"], task["f"]
     seeds, cache_dir = task["seeds"], task["cache_dir"]
-    backend = task["backend"]
     telemetry_dir = task.get("telemetry_dir")
     trace_payload = task.get("trace")
 
@@ -328,7 +330,7 @@ def _run_regression_group(task: Dict) -> List[Dict]:
             )
             path = os.path.join(cache_dir, f"{key}.json")
             if os.path.exists(path):
-                payload = _load_cache_entry(path)
+                payload = _load_cache_entry(path, _valid_cell_payload)
                 if payload is not None:
                     payload["cached"] = True
                     payload["cache_state"] = "hit"
@@ -384,22 +386,10 @@ def _run_regression_group(task: Dict) -> List[Dict]:
                 trace_name=group_name if group_trace is not None else None,
             )
         try:
-            if backend == "batch":
-                traces = run_dgd_batch(
-                    instance.costs, behavior, config, seeds=missing_seeds,
-                    telemetry=telemetry,
-                )
-            else:
-                traces = []
-                for run_index, s in enumerate(missing_seeds):
-                    if telemetry is not None:
-                        telemetry.emit("run_start", run=run_index, seed=int(s))
-                    traces.append(
-                        run_dgd(
-                            instance.costs, behavior, config, seed=s,
-                            telemetry=telemetry,
-                        )
-                    )
+            traces = run_dgd_batch(
+                instance.costs, behavior, config, seeds=missing_seeds,
+                telemetry=telemetry,
+            )
             fresh = []
             for trace in traces:
                 final_estimate = trace.final_estimate
@@ -580,10 +570,6 @@ class SweepEngine:
         scheduled chunks.
     cache_dir:
         Directory for the on-disk trace cache; ``None`` disables caching.
-    backend:
-        ``"batch"`` (vectorized multi-run engine, default) or
-        ``"sequential"`` — numerically identical, the switch exists for
-        benchmarking and for paranoia-mode verification.
     timeout:
         Per-chunk wall-clock budget in seconds (pool mode only). A chunk
         exceeding it counts as one failed attempt; the pool is killed and
@@ -638,7 +624,6 @@ class SweepEngine:
         parallel: bool = True,
         max_workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        backend: str = "batch",
         timeout: Optional[float] = None,
         retries: int = 2,
         retry_backoff: float = 0.05,
@@ -649,10 +634,6 @@ class SweepEngine:
         pool: Optional[SharedProcessPool] = None,
         trace: Optional[TraceContext] = None,
     ):
-        if backend not in ("batch", "sequential"):
-            raise InvalidParameterError(
-                f"backend must be 'batch' or 'sequential', got {backend!r}"
-            )
         if max_workers is not None and max_workers <= 0:
             raise InvalidParameterError(
                 f"max_workers must be positive, got {max_workers}"
@@ -668,7 +649,6 @@ class SweepEngine:
         self._parallel = bool(parallel)
         self._max_workers = max_workers
         self._cache_dir = cache_dir
-        self._backend = backend
         self._timeout = timeout
         self._retries = int(retries)
         self._retry_backoff = float(retry_backoff)
@@ -700,10 +680,6 @@ class SweepEngine:
     @property
     def cache_dir(self) -> Optional[str]:
         return self._cache_dir
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def events(self) -> SweepEvents:
@@ -1287,7 +1263,6 @@ class SweepEngine:
                 "f": f,
                 "seeds": seeds,
                 "cache_dir": self._cache_dir,
-                "backend": self._backend,
                 "telemetry_dir": self._telemetry_dir,
             }
             for f in grid.fault_counts

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.analysis.reporting import ExperimentResult
 from repro.exceptions import InvalidParameterError, ReproError
-from repro.experiments.sweep import SweepEngine, _config_hash
+from repro.experiments.sweep import SweepEngine, _config_hash, _load_cache_entry
 from repro.utils.atomicio import write_json_atomic
 
 __all__ = [
@@ -111,8 +111,8 @@ def _cell_cache_payload(task: Dict) -> Dict:
     }
 
 
-def _valid_cell_payload(payload) -> bool:
-    """Shape guard for cached cells (beyond the checksum)."""
+def _valid_topology_payload(payload) -> bool:
+    """Shape guard for cached E17 cells (beyond the checksum)."""
     if not isinstance(payload, dict):
         return False
     if "error" in payload:
@@ -122,26 +122,6 @@ def _valid_cell_payload(payload) -> bool:
         and isinstance(payload.get("feasible_agents"), int)
         and isinstance(payload.get("counters"), dict)
     )
-
-
-def _load_cell_entry(path: str) -> Optional[Dict]:
-    """Read one cell cache entry; ``None`` means corrupt/foreign."""
-    from repro.exceptions import CacheIntegrityError
-    from repro.utils.atomicio import read_json_checked
-
-    try:
-        payload = read_json_checked(path)
-    except CacheIntegrityError:
-        payload = None
-    if payload is not None and not _valid_cell_payload(payload):
-        payload = None
-    if payload is None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    return payload
 
 
 def full_local_rank_costs(n: int, d: int, instance_seed: int):
@@ -183,7 +163,7 @@ def _run_topology_cell(task: Dict) -> Dict:
         key = _config_hash(_cell_cache_payload(task))
         path = os.path.join(cache_dir, f"{key}.json")
         if os.path.exists(path):
-            payload = _load_cell_entry(path)
+            payload = _load_cache_entry(path, _valid_topology_payload)
             if payload is not None:
                 payload["cached"] = True
                 return payload

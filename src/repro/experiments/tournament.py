@@ -63,6 +63,8 @@ from repro.experiments.multiseed import summarize_over_seeds
 from repro.experiments.sweep import (
     SweepEngine,
     _config_hash,
+    _load_cache_entry,
+    _quarantined_group,
     derive_run_seeds,
 )
 from repro.utils.atomicio import read_json_dict_checked, write_json_atomic
@@ -335,33 +337,6 @@ def _valid_match_payload(payload) -> bool:
     )
 
 
-def _load_match_entry(path: str) -> Optional[Dict]:
-    """Read one match cache entry; ``None`` means corrupt/foreign (recompute).
-
-    The tournament analogue of the sweep layer's cell loader, with the
-    *match* shape check: a checksummed document of the wrong shape (e.g.
-    a regression cell that somehow landed under a colliding key) is as
-    unusable as a truncated one. Never raises; the damaged file is
-    removed so the rewrite is clean.
-    """
-    from repro.exceptions import CacheIntegrityError
-    from repro.utils.atomicio import read_json_checked
-
-    try:
-        payload = read_json_checked(path)
-    except CacheIntegrityError:
-        payload = None
-    if payload is not None and not _valid_match_payload(payload):
-        payload = None
-    if payload is None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    return payload
-
-
 def _run_match_group(task: Dict) -> List[Dict]:
     """Execute one (filter, attack-configuration) match across its seeds.
 
@@ -395,7 +370,7 @@ def _run_match_group(task: Dict) -> List[Dict]:
             )
             path = os.path.join(cache_dir, f"{key}.json")
             if os.path.exists(path):
-                payload = _load_match_entry(path)
+                payload = _load_cache_entry(path, _valid_match_payload)
                 if payload is not None:
                     payload["cached"] = True
                     payload["cache_state"] = "hit"
@@ -475,16 +450,6 @@ def _run_match_group(task: Dict) -> List[Dict]:
                 write_json_atomic(os.path.join(cache_dir, f"{key}.json"), stored)
 
     return payloads  # type: ignore[return-value]
-
-
-def _quarantined_match_group(exc: BaseException, task: Dict) -> List[Dict]:
-    """Per-seed error payloads for a match group the engine gave up on."""
-    message = f"quarantined: {type(exc).__name__}: {exc}"
-    return [
-        {"error": message, "quarantined": True, "cached": False,
-         "cache_state": "miss"}
-        for _ in task["seeds"]
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -732,7 +697,7 @@ def run_tournament(
             for filter_name, spec in pairings
         ]
         grouped = engine.map(
-            _run_match_group, tasks, on_item_error=_quarantined_match_group
+            _run_match_group, tasks, on_item_error=_quarantined_group
         )
         matches: List[Dict] = []
         round_outcomes: Dict[Tuple[str, str], Dict[str, int]] = {

@@ -98,19 +98,19 @@ def _bench_fig3(tel):
 
 @register_bench(
     "fig4_redundancy_violation",
-    workload={"experiment": "E5", "backend": "batch"},
+    workload={"experiment": "E5"},
     tags=("paper", "figure"),
     description="Figure 4: error growth as noise breaks 2f-redundancy",
 )
 def _bench_fig4(tel):
     from repro.experiments import run_noise_sweep
 
-    return run_noise_sweep(backend="batch")
+    return run_noise_sweep()
 
 
 @register_bench(
     "fig5_fault_sweep",
-    workload={"experiment": "E6", "backend": "batch"},
+    workload={"experiment": "E6"},
     tags=("paper", "figure"),
     metrics=_fault_sweep_metrics,
     description="Figure 5: final error vs fault count, alpha condition",
@@ -118,7 +118,7 @@ def _bench_fig4(tel):
 def _bench_fig5(tel):
     from repro.experiments import run_fault_sweep
 
-    return run_fault_sweep(backend="batch")
+    return run_fault_sweep()
 
 
 @register_bench(
@@ -193,14 +193,14 @@ def _bench_table4(tel):
 
 @register_bench(
     "table5_robustness_matrix",
-    workload={"experiment": "E10", "backend": "batch", "parallel": True},
+    workload={"experiment": "E10", "parallel": True},
     tags=("paper", "table"),
     description="Table 5: filter x attack robustness matrix",
 )
 def _bench_table5(tel):
     from repro.experiments import run_robustness_matrix
 
-    return run_robustness_matrix(backend="batch", parallel=True)
+    return run_robustness_matrix(parallel=True)
 
 
 @register_bench(

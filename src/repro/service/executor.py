@@ -52,7 +52,6 @@ class JobExecutor:
         store: JobStore,
         parallel: bool = True,
         pool_workers: Optional[int] = None,
-        backend: str = "batch",
         timeout: Optional[float] = None,
         retries: int = 2,
         metrics: Optional[MetricsRegistry] = None,
@@ -61,7 +60,6 @@ class JobExecutor:
         self.cache_dir = os.path.join(store.root, "cache")
         os.makedirs(self.cache_dir, exist_ok=True)
         self._parallel = bool(parallel)
-        self._backend = backend
         self._timeout = timeout
         self._retries = int(retries)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -143,7 +141,6 @@ class JobExecutor:
             parallel=self._parallel,
             pool=self.pool,
             cache_dir=self.cache_dir,
-            backend=self._backend,
             timeout=self._timeout,
             retries=self._retries,
             events=self.store.events_path(record.job_id),

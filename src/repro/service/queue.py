@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Set
 
-from repro.exceptions import AdmissionRejectedError
+from repro.exceptions import AdmissionRejectedError, InvalidParameterError
 from repro.service.jobs import JobRecord
 
 __all__ = ["JobQueue"]
@@ -40,9 +40,13 @@ class JobQueue:
 
     def __init__(self, max_depth: int = 64, per_client: int = 8):
         if max_depth <= 0:
-            raise ValueError(f"max_depth must be positive, got {max_depth}")
+            raise InvalidParameterError(
+                f"max_depth must be positive, got {max_depth}"
+            )
         if per_client <= 0:
-            raise ValueError(f"per_client must be positive, got {per_client}")
+            raise InvalidParameterError(
+                f"per_client must be positive, got {per_client}"
+            )
         self.max_depth = int(max_depth)
         self.per_client = int(per_client)
         self._heap: List = []

@@ -84,7 +84,6 @@ class ServiceConfig:
     max_queue: int = 64
     per_client: int = 8
     parallel: bool = True
-    backend: str = "batch"
     timeout: Optional[float] = None
     retries: int = 2
     job_ttl: Optional[float] = None
@@ -99,9 +98,19 @@ class ServiceConfig:
             self.socket_path = os.path.join(self.state_dir, "repro.sock")
         if tcp and (self.host is None or self.port is None):
             raise InvalidParameterError("TCP serving needs both host and port")
-        if self.job_slots <= 0:
+        for name in ("job_slots", "pool_workers", "max_queue", "per_client"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise InvalidParameterError(
+                    f"{name} must be positive, got {value}"
+                )
+        if self.timeout is not None and self.timeout <= 0:
             raise InvalidParameterError(
-                f"job_slots must be positive, got {self.job_slots}"
+                f"timeout must be positive (seconds), got {self.timeout}"
+            )
+        if self.retries < 0:
+            raise InvalidParameterError(
+                f"retries must be non-negative, got {self.retries}"
             )
         if self.job_ttl is not None and self.job_ttl < 0:
             raise InvalidParameterError(
@@ -124,7 +133,6 @@ class ReproService:
             self.store,
             parallel=config.parallel,
             pool_workers=config.pool_workers,
-            backend=config.backend,
             timeout=config.timeout,
             retries=config.retries,
             metrics=self.metrics,

@@ -18,7 +18,8 @@ module provides the hardened runtime:
 - :class:`ResiliencePolicy` — the tuning surface: bounded-staleness
   gradient reuse for stragglers, the suspicion threshold, whether silence
   still eliminates (it does exactly when the fault model preserves
-  synchrony), and the partial-aggregation quorum;
+  synchrony), whether equivocation eliminates, and the payload
+  quarantine;
 - :class:`ResilientDGDServer` — per-round deadlines with partial
   aggregation: each round it aggregates the fresh gradients plus
   bounded-staleness reuses, re-invoking the ``FilterFactory`` for the
@@ -88,11 +89,6 @@ class ResiliencePolicy:
         to ``GradientFilter.sanitize`` as in the synchronous server.
         :meth:`for_model` sets it only when the model can corrupt
         payloads, so a null model keeps the synchronous behaviour.
-    min_responders:
-        Partial-aggregation quorum. Defaults to ``f + 1`` — with at most
-        ``f`` Byzantine agents, any ``f + 1`` gradients still contain an
-        honest one, which is the weakest premise under which a filtered
-        step can point anywhere trustworthy.
     """
 
     max_staleness: int = 1
@@ -100,7 +96,6 @@ class ResiliencePolicy:
     eliminate_on_silence: bool = True
     eliminate_on_conflict: bool = False
     quarantine_non_finite: bool = True
-    min_responders: Optional[int] = None
 
     def __post_init__(self):
         if self.max_staleness < 0:
@@ -110,10 +105,6 @@ class ResiliencePolicy:
         if self.suspicion_threshold < 1:
             raise InvalidParameterError(
                 f"suspicion_threshold must be >= 1, got {self.suspicion_threshold}"
-            )
-        if self.min_responders is not None and self.min_responders < 1:
-            raise InvalidParameterError(
-                f"min_responders must be >= 1, got {self.min_responders}"
             )
 
     @classmethod
@@ -501,7 +492,7 @@ class ResilientDGDServer(DGDServer):
     classified. The update then aggregates the fresh set plus
     bounded-staleness reuses, re-invoking the filter factory at the
     reduced ``(k, f)`` when participation is partial, and stalls (holds
-    the estimate) when fewer than the quorum responded.
+    the estimate) when fewer than ``f + 1`` responded.
 
     Elimination semantics are policy-driven: with
     ``eliminate_on_silence`` (sound only under preserved synchrony) the
@@ -673,11 +664,10 @@ class ResilientDGDServer(DGDServer):
             ordered.append(message)
         self._stale_reuses += len(stale_reused)
 
-        quorum = (
-            policy.min_responders
-            if policy.min_responders is not None
-            else self._f + 1
-        )
+        # With at most f Byzantine agents, any f + 1 gradients still
+        # contain an honest one: the weakest premise under which a
+        # filtered step can point anywhere trustworthy.
+        quorum = self._f + 1
         k = len(ordered)
         if k < quorum:
             self._stalled_rounds += 1

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +215,28 @@ class TestSweepCommand:
         stream = tmp_path / "telemetry" / "f1-cge-zero.jsonl"
         counts = count_events(load_jsonl(str(stream)))
         assert counts["round"] == 20  # 2 seeds x 10 iterations
+
+
+class TestServeCommand:
+    def test_zero_pool_workers_exits_2_without_traceback(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--state-dir",
+             str(tmp_path / "state"), "--pool-workers", "0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error: pool_workers must be positive" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--max-queue", "--per-client"])
+    def test_zero_queue_bound_exits_2(self, tmp_path, capsys, flag):
+        argv = ["serve", "--state-dir", str(tmp_path / "state"), flag, "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestProfileCommand:

@@ -65,10 +65,6 @@ class TestParallelMap:
 
 
 class TestSweepEngine:
-    def test_rejects_bad_backend(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            SweepEngine(backend="gpu")
-
     def test_rejects_bad_worker_count(self):
         with pytest.raises(InvalidParameterError, match="max_workers"):
             SweepEngine(max_workers=0)
@@ -163,14 +159,30 @@ class TestSweepEngine:
             assert np.array_equal(a.estimates, b.estimates)
 
     def test_backend_parity(self):
-        grid = RegressionGrid(filters=("cge",), attacks=("random",), num_seeds=2,
-                              iterations=25)
-        batch = SweepEngine(parallel=False, backend="batch").run_regression_grid(grid)
-        sequential = SweepEngine(
-            parallel=False, backend="sequential"
-        ).run_regression_grid(grid)
-        for a, b in zip(batch, sequential):
-            assert np.array_equal(a.estimates, b.estimates)
+        # cge runs vectorized; the stateful clipping filter takes the batch
+        # engine's run_dgd fallback. Both must equal run_dgd cell by cell.
+        from repro.attacks.registry import make_attack
+
+        grid = RegressionGrid(filters=("cge", "clipping"), attacks=("random",),
+                              num_seeds=2, iterations=25)
+        cells = SweepEngine(parallel=False).run_regression_grid(grid)
+        instance = make_redundant_regression(
+            n=grid.n, d=grid.d, f=1, noise_std=grid.noise_std, seed=grid.instance_seed
+        )
+        assert [c.filter_name for c in cells] == ["cge", "cge", "clipping", "clipping"]
+        for cell in cells:
+            assert not cell.failed
+            trace = run_dgd(
+                instance.costs,
+                make_attack("random"),
+                gradient_filter=cell.filter_name,
+                faulty_ids=(0,),
+                f=1,
+                iterations=grid.iterations,
+                seed=cell.seed,
+            )
+            assert np.array_equal(cell.estimates, trace.estimates)
+            assert np.array_equal(cell.final_estimate, trace.final_estimate)
 
     def test_summarize_grid(self):
         cells = SweepEngine(parallel=False).run_regression_grid(
@@ -189,15 +201,9 @@ class TestExperimentWiring:
         assert (
             run_robustness_matrix(**kwargs).rows
             == run_robustness_matrix(
-                **kwargs, parallel=True, backend="batch", max_workers=2
+                **kwargs, parallel=True, max_workers=2
             ).rows
         )
-
-    def test_backend_validated(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            run_robustness_matrix(
-                filters=("cge",), attacks=("zero",), iterations=5, backend="magic"
-            )
 
     def test_multiseed_parallel_matches(self):
         sequential = summarize_over_seeds(_tiny_fault_sweep, [1, 2])

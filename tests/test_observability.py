@@ -496,20 +496,25 @@ class TestSweepTelemetry:
             assert np.array_equal(before.final_estimate, after.final_estimate)
 
     def test_sequential_backend_tags_run_starts(self, tmp_path):
+        # The stateful clipping filter runs on the batch engine's
+        # per-seed run_dgd fallback, which tags each run's slice.
         from repro.experiments.sweep import RegressionGrid, SweepEngine
 
         grid = RegressionGrid(
-            filters=("cge",), attacks=("zero",), fault_counts=(1,),
+            filters=("clipping",), attacks=("zero",), fault_counts=(1,),
             num_seeds=2, master_seed=3, n=6, d=2, iterations=10,
         )
         telemetry_dir = str(tmp_path / "telemetry")
         SweepEngine(
-            parallel=False, backend="sequential", telemetry_dir=telemetry_dir
+            parallel=False, telemetry_dir=telemetry_dir
         ).run_regression_grid(grid)
-        records = load_jsonl(os.path.join(telemetry_dir, "f1-cge-zero.jsonl"))
+        records = load_jsonl(os.path.join(telemetry_dir, "f1-clipping-zero.jsonl"))
         counts = count_events(records)
         assert counts["run_start"] == 2
         assert counts["round"] == 20
+        starts = [r for r in records if r["event"] == "run_start"]
+        assert [r["run"] for r in starts] == [0, 1]
+        assert all(r["reason"] for r in starts)
 
     def test_sweep_events_share_schema_with_telemetry(self, tmp_path):
         # A sweep event log and a telemetry stream are interchangeable for

@@ -10,6 +10,7 @@ from repro.service import (
     JobRecord,
     JobSpec,
     JobStore,
+    ServiceConfig,
     grid_from_params,
     validate_job_spec,
 )
@@ -130,6 +131,22 @@ class TestAdmissionControl:
         # recovery path: already-admitted work re-enters past the bound
         queue.requeue(_record(store))
         assert queue.depth == 2
+
+
+class TestServiceConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("pool_workers", 0), ("max_queue", 0), ("per_client", 0),
+        ("retries", -1), ("timeout", 0),
+    ])
+    def test_rejects_unusable_value(self, tmp_path, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            ServiceConfig(state_dir=str(tmp_path), **{field: value})
+
+    def test_queue_bounds_raise_structured_error(self):
+        with pytest.raises(InvalidParameterError, match="max_depth"):
+            JobQueue(max_depth=0)
+        with pytest.raises(InvalidParameterError, match="per_client"):
+            JobQueue(per_client=0)
 
 
 class TestJobStore:

@@ -9,6 +9,7 @@ from repro.attacks.simple import GradientReverse
 from repro.exceptions import InfeasibleConfigurationError, InvalidParameterError
 from repro.optimization.cost_functions import TranslatedQuadratic
 from repro.optimization.step_sizes import suggest_diminishing
+from repro.optimization.stochastic import NoisyGradientCost, with_gradient_noise
 from repro.problems.linear_regression import make_redundant_regression
 from repro.system.peer_to_peer import run_peer_to_peer_dgd
 from repro.system.runner import run_dgd
@@ -62,6 +63,46 @@ class TestByzantine:
         costs = [TranslatedQuadratic([0.0, 0.0]) for _ in range(4)]
         result = run_peer_to_peer_dgd(costs, Average(), iterations=5, seed=0)
         assert result.broadcast_messages > 0
+
+
+class TestStochasticCosts:
+    """Noisy gradient oracles: one sample per honest agent and round."""
+
+    FAULTY = (1, 5)
+    T = 20
+
+    def _noisy_costs(self):
+        # Built as with_gradient_noise builds them, with every sample counted.
+        instance = make_redundant_regression(n=7, d=2, f=2, noise_std=0.0, seed=0)
+        costs = with_gradient_noise(instance.costs, noise_std=0.1, seed=3)
+        calls = [0] * len(costs)
+        for i, cost in enumerate(costs):
+            def gradient(x, _sample=cost.gradient, _i=i):
+                calls[_i] += 1
+                return _sample(x)
+            cost.gradient = gradient
+        return costs, calls
+
+    def _run(self, costs):
+        return run_peer_to_peer_dgd(
+            costs, ComparativeGradientElimination(f=2),
+            faulty_ids=self.FAULTY, behavior=GradientReverse(),
+            iterations=self.T, seed=0,
+        )
+
+    def test_one_sample_per_honest_agent_and_round(self):
+        costs, calls = self._noisy_costs()
+        assert all(isinstance(cost, NoisyGradientCost) for cost in costs)
+        first = self._run(costs)
+        assert first.agreement_verified
+        honest = [i for i in range(7) if i not in self.FAULTY]
+        assert [calls[i] for i in honest] == [self.T] * len(honest)
+        # Same seeds on freshly built costs: the run is bit-identical.
+        second = self._run(self._noisy_costs()[0])
+        assert np.array_equal(first.estimates, second.estimates)
+        assert first.per_agent_final.keys() == second.per_agent_final.keys()
+        for agent, final in first.per_agent_final.items():
+            assert np.array_equal(final, second.per_agent_final[agent])
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Tests for E17 (topology vs. redundancy) and its cached cell layer."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.experiments.topology_resilience import (
     full_local_rank_costs,
     run_topology_resilience,
 )
+from repro.system.faultinjection import corrupt_cache_entry
+from repro.utils.atomicio import write_json_atomic
 
 SMALL_GRID = dict(
     variants=(("ring", {"hops": 2}), ("complete", {})),
@@ -63,6 +67,26 @@ class TestExperiment:
         assert [r[5] for r in cold.rows] == [r[5] for r in warm.rows]
         assert "8 from cache" in warm.notes[-1]
         assert "0 from cache" in cold.notes[-1]
+
+    @pytest.mark.parametrize("mode", ["truncate", "bitflip", "foreign"])
+    def test_damaged_cache_entry_recomputed(self, tmp_path, mode):
+        cache = str(tmp_path / "cells")
+        cold = run_topology_resilience(cache_dir=cache, **SMALL_GRID)
+        if mode == "foreign":
+            # A checksummed regression-grid cell under an E17 key passes
+            # the sweep's shape check but not E17's: it must be discarded.
+            victim = os.path.join(cache, sorted(os.listdir(cache))[0])
+            write_json_atomic(victim, {"final_error": 0.0,
+                                       "final_estimate": [0.0, 0.0],
+                                       "estimates": [[0.0, 0.0]]})
+        else:
+            corrupt_cache_entry(cache, index=0, mode=mode, seed=1)
+        warm = run_topology_resilience(cache_dir=cache, **SMALL_GRID)
+        assert warm.rows == cold.rows
+        assert "7 from cache" in warm.notes[-1]
+        # The damaged entry was rewritten: a third run is all hits.
+        again = run_topology_resilience(cache_dir=cache, **SMALL_GRID)
+        assert "8 from cache" in again.notes[-1]
 
     def test_unknown_fault_model_rejected(self):
         with pytest.raises(InvalidParameterError, match="fault model"):

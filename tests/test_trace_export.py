@@ -18,7 +18,7 @@ from repro.observability.perf import (
 from repro.observability.tracing import TraceContext, derive_trace_id
 
 
-def _traced_job_dir(tmp_path, backend="batch", num_seeds=2):
+def _traced_job_dir(tmp_path, filter_name="cge", num_seeds=2):
     """A traced sweep with worker telemetry, plus the root job span."""
     import time
 
@@ -28,11 +28,10 @@ def _traced_job_dir(tmp_path, backend="batch", num_seeds=2):
         events=os.fspath(tmp_path / "events.jsonl"),
         telemetry_dir=os.fspath(tmp_path / "telemetry"),
         cache_dir=os.fspath(tmp_path / "cache"),
-        backend=backend,
         trace=root.child("sweep"),
     )
     grid = RegressionGrid(
-        filters=("cge",), attacks=("zero",), fault_counts=(1,),
+        filters=(filter_name,), attacks=("zero",), fault_counts=(1,),
         num_seeds=num_seeds, n=4, d=1, iterations=15,
     )
     engine.run_regression_grid(grid)
@@ -67,7 +66,9 @@ class TestSpanTree:
                 assert child.parent_span_id == node.span_id
 
     def test_sequential_backend_gets_one_run_per_seed(self, tmp_path):
-        _traced_job_dir(tmp_path, backend="sequential", num_seeds=3)
+        # clipping is stateful, so the batch engine falls back to one
+        # run_dgd (and one "run" span) per seed.
+        _traced_job_dir(tmp_path, filter_name="clipping", num_seeds=3)
         roots = build_span_tree(collect_trace_records(os.fspath(tmp_path)))
         assert _names(roots).count("run") == 3
 
