@@ -63,6 +63,7 @@ __all__ = [
     "deterministic_draw_rows",
     "deterministic_choice",
     "draw_key_hashes",
+    "KeyedDraws",
 ]
 
 
@@ -76,9 +77,19 @@ def deterministic_draw(seed: int, *key) -> float:
     ``Generator`` — a resumed run replays the *same* draws without having
     to persist any stream position in a checkpoint.
     """
-    material = ":".join(str(part) for part in (seed, *key))
+    return _unit_draw(":".join(str(part) for part in (seed, *key)))
+
+
+def _unit_draw(material: str) -> float:
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def _choose(low: int, high: int, material: str) -> int:
+    if high < low:
+        raise InvalidParameterError(f"empty choice range [{low}, {high}]")
+    span = high - low + 1
+    return low + int(_unit_draw(material) * span) % span
 
 
 _SM64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -171,10 +182,34 @@ def deterministic_draw_rows(seed: int, prefixes, key_hashes: np.ndarray) -> np.n
 
 def deterministic_choice(seed: int, low: int, high: int, *key) -> int:
     """A deterministic integer draw in ``[low, high]`` (inclusive)."""
-    if high < low:
-        raise InvalidParameterError(f"empty choice range [{low}, {high}]")
-    span = high - low + 1
-    return low + int(deterministic_draw(seed, "choice", *key) * span) % span
+    return _choose(low, high, ":".join(str(part) for part in (seed, "choice", *key)))
+
+
+class KeyedDraws:
+    """The draws of one message: many tags over one ``(seed, *key)``.
+
+    A fault schedule draws several times for the same coordinates (drop,
+    delay, corruption, ...), and the calls differ only in their leading
+    tag. This joins the seed and the key once; each draw then hashes
+    exactly the material the standalone functions build, so
+    ``KeyedDraws(seed, *key).draw(tag) == deterministic_draw(seed, tag,
+    *key)`` and ``.choice(low, high, tag) == deterministic_choice(seed,
+    low, high, tag, *key)`` bit for bit.
+    """
+
+    __slots__ = ("_head", "_tail")
+
+    def __init__(self, seed: int, *key):
+        self._head = str(seed) + ":"
+        self._tail = ":" + ":".join(map(str, key)) if key else ""
+
+    def draw(self, tag: str) -> float:
+        """:func:`deterministic_draw` of ``(seed, tag, *key)``."""
+        return _unit_draw(self._head + str(tag) + self._tail)
+
+    def choice(self, low: int, high: int, tag: str) -> int:
+        """:func:`deterministic_choice` of ``(seed, low, high, tag, *key)``."""
+        return _choose(low, high, self._head + "choice:" + str(tag) + self._tail)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ module drops that assumption in a controlled, *deterministic* way. A
   rounds and then returns).
 
 Every fault decision is a pure function of ``(seed, message coordinates)``
-via :func:`repro.system.faultinjection.deterministic_draw` — the same
-determinism discipline the infrastructure chaos harness uses. Two
-consequences matter:
+via :func:`repro.system.faultinjection.deterministic_draw` (through
+:class:`~repro.system.faultinjection.KeyedDraws`, which joins a message's
+coordinates once for all of its draws) — the same determinism discipline
+the infrastructure chaos harness uses. Two consequences matter:
 
 - a degraded run is exactly replayable from its seed, and
 - a **checkpoint/resume** of a degraded run replays identical faults
@@ -33,21 +34,24 @@ profile attached to one id.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.system.faultinjection import (
+    KeyedDraws,
     deterministic_choice,
     deterministic_draw,
     deterministic_draw_array,
     deterministic_draw_rows,
     draw_key_hashes,
 )
-from repro.system.messages import GradientMessage, Message
-from repro.system.network import DeliveryRecord, SynchronousNetwork
+from repro.system.messages import EstimateBroadcast, GradientMessage, Message
+from repro.system.network import SynchronousNetwork
 from repro.utils.validation import check_probability
 
 __all__ = [
@@ -157,6 +161,20 @@ class FaultProfile:
             and self.corrupt_prob == 0.0
             and self.straggle_every == 0
             and self.crash_round is None
+        )
+
+    @property
+    def is_random(self) -> bool:
+        """Whether messages under this profile take fault draws.
+
+        Drops, delays, duplicates and corruption are drawn per message;
+        straggle schedules and crash windows are fixed in the round index.
+        """
+        return (
+            self.drop_prob > 0
+            or self.delay_prob > 0
+            or self.duplicate_prob > 0
+            or self.corrupt_prob > 0
         )
 
     @property
@@ -306,15 +324,14 @@ def corrupt_gradient(
     return damaged
 
 
-@dataclass(frozen=True)
-class _InFlight:
+class _InFlight(NamedTuple):
     """One queued delivery: a message bound for ``receiver`` at ``due``."""
 
     due: int
     receiver: int
     sequence: int
     message: Message
-    copy_index: int = 0
+    copy_index: int
 
 
 class PartiallySynchronousNetwork(SynchronousNetwork):
@@ -328,6 +345,9 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     deterministic (optionally seeded-shuffled) order. With a null fault
     model every submission is collectable in its own round in submission
     order, so the schedule degenerates to the synchronous one.
+
+    In-flight copies are queued per receiver, so a collection reads only
+    its own receiver's copies.
 
     Traffic accounting extends the parent's: ``messages_delayed``,
     ``messages_duplicated``, and ``messages_corrupted`` count fault
@@ -346,7 +366,7 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     ):
         super().__init__(drop_probabilities=None, rng=None, log_capacity=log_capacity)
         self._model = fault_model if fault_model is not None else NetworkFaultModel()
-        self._queue: List[_InFlight] = []
+        self._pending: Dict[int, List[_InFlight]] = defaultdict(list)
         self._sequence = 0
         self._messages_delayed = 0
         self._messages_duplicated = 0
@@ -371,7 +391,7 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     @property
     def pending_count(self) -> int:
         """Queued copies not yet collected."""
-        return len(self._queue)
+        return sum(len(pending) for pending in self._pending.values())
 
     def traffic_summary(self) -> Dict[str, int]:
         summary = super().traffic_summary()
@@ -386,52 +406,35 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     # Fault application
     # ------------------------------------------------------------------
 
-    def _endpoint_profile(self, message: Message, receiver: int) -> Tuple[int, FaultProfile]:
-        """The agent-side endpoint whose profile governs this message.
-
-        Server→agent traffic is shaped by the receiving agent's link;
-        agent→server traffic by the sending agent's. (The trusted server
-        itself is assumed reliable, as in the paper.)
-        """
-        endpoint = message.sender if message.sender >= 0 else int(receiver)
-        return endpoint, self._model.profile(endpoint)
-
-    def _record_drop(self, message: Message, receiver: int) -> None:
-        record = DeliveryRecord(
-            round_index=message.round_index,
-            sender=message.sender,
-            receiver=int(receiver),
-            message_type=type(message).__name__,
-            size_bytes=message.size_bytes(),
-            dropped=True,
-        )
-        self._log.append(record)
-        self._records_seen += 1
-        self._messages_dropped += 1
-        self._bytes_dropped += record.size_bytes
-
     def submit(self, message: Message, receiver: int, current_round: int) -> None:
         """Hand one message to the network in ``current_round``.
 
         Applies the governing endpoint profile and queues zero, one, or
-        two copies for future collection.
+        two copies for future collection. Server→agent traffic is shaped
+        by the receiving agent's link, agent→server traffic by the sending
+        agent's (the trusted server itself is assumed reliable, as in the
+        paper).
         """
-        endpoint, profile = self._endpoint_profile(message, receiver)
-        key = (endpoint, int(receiver), message.sender, message.round_index, current_round)
+        receiver = int(receiver)
+        sender = message.sender
+        endpoint = sender if sender >= 0 else receiver
+        profile = self._model.profile(endpoint)
         seed = self._model.seed
+        key = (endpoint, receiver, sender, message.round_index, current_round)
 
         if profile.is_down(current_round):
-            self._record_drop(message, receiver)
+            self._record(message, receiver, True)
             return
-        if profile.drop_prob > 0 and deterministic_draw(seed, "drop", *key) < profile.drop_prob:
-            self._record_drop(message, receiver)
+        draws = KeyedDraws(seed, *key) if profile.is_random else None
+        if profile.drop_prob > 0 and draws.draw("drop") < profile.drop_prob:
+            self._record(message, receiver, True)
             return
 
         delay = 0
-        if profile.straggle_every > 0 and message.sender >= 0 and profile.straggles_at(current_round):
+        if profile.straggle_every > 0 and sender >= 0 and profile.straggles_at(current_round):
             delay += profile.straggle_delay
-        if profile.delay_prob > 0 and deterministic_draw(seed, "delay", *key) < profile.delay_prob:
-            delay += deterministic_choice(seed, 1, profile.max_delay, "delay-len", *key)
+        if profile.delay_prob > 0 and draws.draw("delay") < profile.delay_prob:
+            delay += draws.choice(1, profile.max_delay, "delay-len")
         if delay > 0:
             self._messages_delayed += 1
 
@@ -439,10 +442,10 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
         if (
             profile.corrupt_prob > 0
             and isinstance(message, GradientMessage)
-            and deterministic_draw(seed, "corrupt", *key) < profile.corrupt_prob
+            and draws.draw("corrupt") < profile.corrupt_prob
         ):
             payload = GradientMessage(
-                sender=message.sender,
+                sender=sender,
                 round_index=message.round_index,
                 gradient=corrupt_gradient(
                     message.gradient, profile.corrupt_mode, seed, *key
@@ -452,22 +455,16 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
 
         self._enqueue(payload, receiver, current_round + delay, copy_index=0)
 
-        if profile.duplicate_prob > 0 and deterministic_draw(seed, "dup", *key) < profile.duplicate_prob:
+        if profile.duplicate_prob > 0 and draws.draw("dup") < profile.duplicate_prob:
             extra = 0
             if profile.max_delay > 0:
-                extra = deterministic_choice(seed, 0, profile.max_delay, "dup-delay", *key)
+                extra = draws.choice(0, profile.max_delay, "dup-delay")
             self._messages_duplicated += 1
             self._enqueue(payload, receiver, current_round + delay + extra, copy_index=1)
 
     def _enqueue(self, message: Message, receiver: int, due: int, copy_index: int) -> None:
-        self._queue.append(
-            _InFlight(
-                due=int(due),
-                receiver=int(receiver),
-                sequence=self._sequence,
-                message=message,
-                copy_index=copy_index,
-            )
+        self._pending[receiver].append(
+            _InFlight(int(due), receiver, self._sequence, message, copy_index)
         )
         self._sequence += 1
 
@@ -484,12 +481,16 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
         set. Each released copy is logged and counted as delivered.
         """
         receiver = int(receiver)
-        due = [e for e in self._queue if e.receiver == receiver and e.due <= current_round]
+        pending = self._pending.get(receiver)
+        if not pending:
+            return []
+        due = [e for e in pending if e.due <= current_round]
         if not due:
             return []
-        self._queue = [
-            e for e in self._queue if not (e.receiver == receiver and e.due <= current_round)
-        ]
+        if len(due) == len(pending):
+            pending.clear()
+        else:
+            pending[:] = [e for e in pending if e.due > current_round]
         due.sort(key=lambda e: (e.message.round_index, e.message.sender, e.sequence))
         if self._model.reorder and len(due) > 1:
             order = sorted(
@@ -501,18 +502,7 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
             due = [due[i] for i in order]
         released: List[Message] = []
         for entry in due:
-            record = DeliveryRecord(
-                round_index=entry.message.round_index,
-                sender=entry.message.sender,
-                receiver=receiver,
-                message_type=type(entry.message).__name__,
-                size_bytes=entry.message.size_bytes(),
-                dropped=False,
-            )
-            self._log.append(record)
-            self._records_seen += 1
-            self._messages_delivered += 1
-            self._bytes_delivered += record.size_bytes
+            self._record(entry.message, receiver, False)
             released.append(entry.message)
         return released
 
@@ -523,10 +513,15 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     def state(self) -> Dict:
         """JSON-serializable snapshot of queue and counters.
 
-        The delivery log is deliberately excluded: it is diagnostics, not
-        execution state, and resumed runs only need counters to keep the
-        traffic totals consistent.
+        The queue is listed in submission order. The delivery log is
+        deliberately excluded: it is diagnostics, not execution state, and
+        resumed runs only need counters to keep the traffic totals
+        consistent.
         """
+        queue = sorted(
+            (e for pending in self._pending.values() for e in pending),
+            key=attrgetter("sequence"),
+        )
         return {
             "sequence": self._sequence,
             "queue": [
@@ -540,7 +535,7 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
                     "round_index": e.message.round_index,
                     "payload": self._payload_of(e.message),
                 }
-                for e in self._queue
+                for e in queue
             ],
             "counters": {
                 "messages_delivered": self._messages_delivered,
@@ -560,16 +555,12 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
             # float(hex) round-trips every float64 bit pattern; plain JSON
             # floats cannot carry NaN/Inf, which corrupted payloads contain.
             return [float(v).hex() for v in np.asarray(message.gradient, dtype=float)]
-        from repro.system.messages import EstimateBroadcast
-
         if isinstance(message, EstimateBroadcast):
             return [float(v).hex() for v in np.asarray(message.estimate, dtype=float)]
         return None
 
     def restore_state(self, state: Dict) -> None:
         """Restore a snapshot produced by :meth:`state`."""
-        from repro.system.messages import EstimateBroadcast
-
         self._sequence = int(state["sequence"])
         counters = state["counters"]
         self._messages_delivered = int(counters["messages_delivered"])
@@ -580,7 +571,7 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
         self._messages_duplicated = int(counters["messages_duplicated"])
         self._messages_corrupted = int(counters["messages_corrupted"])
         self._records_seen = int(counters["records_seen"])
-        queue: List[_InFlight] = []
+        self._pending = defaultdict(list)
         for entry in state["queue"]:
             payload = (
                 None
@@ -603,16 +594,16 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
                 raise InvalidParameterError(
                     f"cannot restore in-flight message of kind {entry['kind']!r}"
                 )
-            queue.append(
+            receiver = int(entry["receiver"])
+            self._pending[receiver].append(
                 _InFlight(
                     due=int(entry["due"]),
-                    receiver=int(entry["receiver"]),
+                    receiver=receiver,
                     sequence=int(entry["sequence"]),
                     message=message,
                     copy_index=int(entry["copy_index"]),
                 )
             )
-        self._queue = queue
 
 
 # ----------------------------------------------------------------------

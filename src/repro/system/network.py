@@ -4,6 +4,8 @@ Models the paper's synchrony assumption: every message sent in a round is
 delivered within that round, so a missing reply is *proof* the sender is
 faulty (the server exploits this to eliminate silent agents). The network
 logs every delivery for post-hoc inspection and accounts traffic volume.
+The log keeps one plain row per delivered or dropped message and builds
+the :class:`DeliveryRecord` objects only when it is read.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.system.messages import Message
@@ -61,7 +63,8 @@ class SynchronousNetwork:
             for k, v in (drop_probabilities or {}).items()
         }
         self._rng = rng
-        self._log: Deque[DeliveryRecord] = deque(maxlen=int(log_capacity))
+        # One DeliveryRecord field tuple per message, in field order.
+        self._log: Deque[Tuple] = deque(maxlen=int(log_capacity))
         self._messages_delivered = 0
         self._messages_dropped = 0
         self._bytes_delivered = 0
@@ -127,7 +130,7 @@ class SynchronousNetwork:
                 "DGDConfig.log_capacity) to retain the full history",
                 stacklevel=2,
             )
-        return list(self._log)
+        return [DeliveryRecord(*row) for row in self._log]
 
     def _should_drop(self, sender: int) -> bool:
         probability = self._drop_probabilities.get(sender, 0.0)
@@ -139,26 +142,30 @@ class SynchronousNetwork:
             )
         return bool(self._rng.random() < probability)
 
-    def deliver(self, message: Message, receiver: int) -> Optional[Message]:
-        """Deliver one message; returns ``None`` when the message is dropped."""
-        dropped = self._should_drop(message.sender)
-        record = DeliveryRecord(
-            round_index=message.round_index,
-            sender=message.sender,
-            receiver=int(receiver),
-            message_type=type(message).__name__,
-            size_bytes=message.size_bytes(),
-            dropped=dropped,
-        )
-        self._log.append(record)
+    def _record(self, message: Message, receiver: int, dropped: bool) -> None:
+        """Log one delivered or dropped message and count its traffic."""
+        size = message.size_bytes()
+        self._log.append((
+            message.round_index,
+            message.sender,
+            int(receiver),
+            type(message).__name__,
+            size,
+            dropped,
+        ))
         self._records_seen += 1
         if dropped:
             self._messages_dropped += 1
-            self._bytes_dropped += record.size_bytes
-            return None
-        self._messages_delivered += 1
-        self._bytes_delivered += record.size_bytes
-        return message
+            self._bytes_dropped += size
+        else:
+            self._messages_delivered += 1
+            self._bytes_delivered += size
+
+    def deliver(self, message: Message, receiver: int) -> Optional[Message]:
+        """Deliver one message; returns ``None`` when the message is dropped."""
+        dropped = self._should_drop(message.sender)
+        self._record(message, receiver, dropped)
+        return None if dropped else message
 
     def broadcast(self, message: Message, receivers: Iterable[int]) -> Dict[int, Message]:
         """Deliver ``message`` to every receiver; returns the per-receiver copies."""

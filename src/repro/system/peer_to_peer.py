@@ -25,7 +25,7 @@ from repro.optimization.cost_functions import CostFunction
 from repro.optimization.projections import BoxSet, ConvexSet
 from repro.optimization.step_sizes import StepSizeSchedule
 from repro.system.broadcast import EquivocatingSender, byzantine_broadcast
-from repro.system.faultinjection import deterministic_choice, deterministic_draw
+from repro.system.faultinjection import KeyedDraws
 from repro.system.healing import ResiliencePolicy
 from repro.system.netfaults import NetworkFaultModel, corrupt_gradient
 from repro.utils.rng import SeedLike, ensure_rng
@@ -98,20 +98,18 @@ def _degrade_agreed_rows(
         if profile.is_down(t):
             counters["dropped"] += 1
             continue
-        if profile.drop_prob > 0 and deterministic_draw(seed, "drop", *key) < profile.drop_prob:
+        draws = KeyedDraws(seed, *key) if profile.is_random else None
+        if profile.drop_prob > 0 and draws.draw("drop") < profile.drop_prob:
             counters["dropped"] += 1
             continue
-        if (
-            profile.corrupt_prob > 0
-            and deterministic_draw(seed, "corrupt", *key) < profile.corrupt_prob
-        ):
+        if profile.corrupt_prob > 0 and draws.draw("corrupt") < profile.corrupt_prob:
             value = corrupt_gradient(value, profile.corrupt_mode, seed, *key)
             counters["corrupted"] += 1
         delay = 0
         if profile.straggles_at(t):
             delay += profile.straggle_delay
-        if profile.delay_prob > 0 and deterministic_draw(seed, "delay", *key) < profile.delay_prob:
-            delay += deterministic_choice(seed, 1, profile.max_delay, "delay-len", *key)
+        if profile.delay_prob > 0 and draws.draw("delay") < profile.delay_prob:
+            delay += draws.choice(1, profile.max_delay, "delay-len")
         if delay > 0:
             counters["delayed"] += 1
         in_flight.append((t + delay, t, sender, value))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -421,8 +421,16 @@ def run_dgd(
 _CHECKPOINT_VERSION = 1
 
 
-def _hex_matrix(matrix: np.ndarray) -> List[List[str]]:
-    return [[float(v).hex() for v in row] for row in np.asarray(matrix, dtype=float)]
+def _extend_hex_rows(rows: List[List[str]], matrix: np.ndarray, stop: int) -> List[List[str]]:
+    """Append the exact hex encodings of ``matrix[len(rows):stop]`` to ``rows``.
+
+    Checkpoints carry the whole trajectory prefix; keeping the rows
+    already encoded means each checkpoint hexes only the rounds since the
+    last one.
+    """
+    for row in np.asarray(matrix[len(rows):stop], dtype=float):
+        rows.append([float(v).hex() for v in row])
+    return rows
 
 
 def _unhex_matrix(rows: List[List[str]]) -> np.ndarray:
@@ -437,9 +445,15 @@ def _checkpoint_fingerprint(
     faulty_ids: Sequence[int],
     crash_rounds: Dict[int, int],
     filter_name: str,
+    model: NetworkFaultModel,
+    policy: ResiliencePolicy,
+    adversary: Optional[Adversary],
 ) -> Dict:
     """Identity of a run for checkpoint-compatibility purposes.
 
+    Everything that shapes the trajectory is included: the fault model's
+    profiles and ``reorder`` flag, the resolved resilience policy and the
+    attack, besides the instance, seed, filter and faulty placement.
     Iteration count is deliberately excluded: resuming a 30-round
     checkpoint into a 60-round run is legitimate (and tested).
     """
@@ -452,6 +466,13 @@ def _checkpoint_fingerprint(
         "faulty_ids": [int(i) for i in faulty_ids],
         "crash_rounds": {str(k): int(v) for k, v in sorted(crash_rounds.items())},
         "fault_seed": None if config.fault_model is None else config.fault_model.seed,
+        "fault_profiles": {
+            str(agent_id): asdict(profile)
+            for agent_id, profile in sorted(model.profiles.items())
+        },
+        "reorder": bool(model.reorder),
+        "resilience": asdict(policy),
+        "behavior": None if adversary is None else type(adversary.behavior).__name__,
     }
 
 
@@ -463,9 +484,15 @@ def _write_checkpoint(
     network: PartiallySynchronousNetwork,
     adversary: Optional[Adversary],
     agents: Dict[int, Agent],
-    estimates: np.ndarray,
-    directions: np.ndarray,
+    estimate_rows: List[List[str]],
+    direction_rows: List[List[str]],
 ) -> None:
+    """Write the run state after ``completed_rounds`` rounds.
+
+    ``estimate_rows`` and ``direction_rows`` are the hex-encoded
+    trajectory prefix, ``completed_rounds + 1`` and ``completed_rounds``
+    rows long.
+    """
     adversary_state = None
     if adversary is not None:
         adversary_state = adversary._rng.bit_generator.state
@@ -481,8 +508,8 @@ def _write_checkpoint(
             for agent_id, agent in agents.items()
             if isinstance(agent, CrashAgent)
         },
-        "estimates": _hex_matrix(estimates[: completed_rounds + 1]),
-        "directions": _hex_matrix(directions[:completed_rounds]),
+        "estimates": estimate_rows,
+        "directions": direction_rows,
     }
     write_json_atomic(path, payload)
 
@@ -574,8 +601,12 @@ def _run_partially_synchronous(
 
     start_round = 0
     fingerprint = _checkpoint_fingerprint(
-        config, n, f, dimension, faulty_ids, crash_rounds, filter_name
+        config, n, f, dimension, faulty_ids, crash_rounds, filter_name,
+        model, policy, adversary,
     )
+    # The hex rows of the trajectory already written to a checkpoint.
+    estimate_rows: List[List[str]] = []
+    direction_rows: List[List[str]] = []
     if config.checkpoint_path:
         if config.checkpoint_every <= 0:
             raise InvalidParameterError(
@@ -592,9 +623,11 @@ def _run_partially_synchronous(
                 if isinstance(agent, CrashAgent):
                     agent._crashed = bool(crashed)
             start_round = int(saved["round"])
-            estimates[: start_round + 1] = _unhex_matrix(saved["estimates"])
+            estimate_rows = saved["estimates"]
+            direction_rows = saved["directions"]
+            estimates[: start_round + 1] = _unhex_matrix(estimate_rows)
             if start_round:
-                directions[:start_round] = _unhex_matrix(saved["directions"])
+                directions[:start_round] = _unhex_matrix(direction_rows)
             if tel:
                 tel.emit("resume", round=start_round, path=config.checkpoint_path)
 
@@ -647,8 +680,8 @@ def _run_partially_synchronous(
                     network,
                     adversary,
                     agents,
-                    estimates,
-                    directions,
+                    _extend_hex_rows(estimate_rows, estimates, t + 2),
+                    _extend_hex_rows(direction_rows, directions, t + 1),
                 )
     elapsed = time.perf_counter() - start
 

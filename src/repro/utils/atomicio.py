@@ -62,16 +62,19 @@ def write_json_atomic(path: str, payload: Any, checksum: bool = True) -> str:
 
     With ``checksum=True`` (the default) the document is wrapped as
     ``{"sha256": ..., "payload": ...}`` so :func:`read_json_checked` can
-    verify it end-to-end. The bytes land in a temporary sibling first and
+    verify it end-to-end. The document is encoded in full before any file
+    is opened, so a value JSON cannot encode raises without leaving a
+    partial file behind; the bytes then land in a temporary sibling and
     are renamed into place, so concurrent readers never see a partial
     file and concurrent writers of identical content are idempotent.
     """
     document: Any = payload
     if checksum:
         document = {CHECKSUM_KEY: payload_checksum(payload), PAYLOAD_KEY: payload}
+    text = json.dumps(document)
     tmp_path = f"{path}.tmp.{os.getpid()}"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
+        handle.write(text)
     os.replace(tmp_path, path)
     return path
 

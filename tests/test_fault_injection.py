@@ -12,6 +12,7 @@ import pickle
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.exceptions import CacheIntegrityError, InjectedFault, InvalidParameterError
@@ -106,6 +107,42 @@ class TestAtomicIO:
 
     def test_checksum_is_canonical(self):
         assert payload_checksum({"a": 1, "b": 2}) == payload_checksum({"b": 2, "a": 1})
+
+    @pytest.mark.parametrize("checksum", [True, False])
+    def test_unencodable_value_leaves_no_file(self, tmp_path, checksum):
+        path = str(tmp_path / "doc.json")
+        with pytest.raises(TypeError):
+            write_json_atomic(
+                path, {"a": [1.0, 2.0], "b": np.float32(3.0)}, checksum=checksum
+            )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("checksum", [True, False])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"values": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300]},
+            {"text": "naïve ✓ \u2028 \"quoted\"\n", "ключ": ["é", ""]},
+            {"ints": {0: "zero", 7: [1, 2]}, "flags": [True, False, None]},
+            {"nested": {"a": [[], {}, [{}], {"b": [[[]]]}]}, "empty": {}},
+            [],
+            {},
+        ],
+    )
+    def test_bytes_match_json_dump(self, tmp_path, payload, checksum):
+        path = str(tmp_path / "doc.json")
+        write_json_atomic(path, payload, checksum=checksum)
+        document = (
+            {"sha256": payload_checksum(payload), "payload": payload}
+            if checksum
+            else payload
+        )
+        expected = tmp_path / "expected.json"
+        with open(expected, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        assert open(path, "rb").read() == expected.read_bytes()
+        read_back = read_json_checked(path, require_checksum=checksum)
+        assert json.dumps(read_back) == json.dumps(payload)
 
 
 class TestCallCounter:

@@ -362,6 +362,44 @@ class TestCheckpointResume:
             rerun = run_dgd(instance.costs, make_attack("gradient-reverse"), **other)
         assert rerun.extra["resumed_from_round"] == 0
 
+    @pytest.mark.parametrize("change", ["profiles", "reorder", "resilience", "attack"])
+    def test_checkpoint_of_another_fault_model_or_attack_is_rejected(
+        self, tmp_path, change
+    ):
+        # The fault seed, instance, filter and placement all match; what
+        # differs is the network, the policy or the attack.
+        instance = make_redundant_regression(n=N, d=D, f=F, noise_std=0.0, seed=3)
+        ckpt = str(tmp_path / "run.ckpt.json")
+        first = NetworkFaultModel.uniform(range(N), FaultProfile(drop_prob=0.05), seed=7)
+        config = dict(
+            gradient_filter="cge",
+            faulty_ids=FAULTY,
+            seed=5,
+            checkpoint_every=10,
+            fault_model=first,
+        )
+        run_dgd(instance.costs, make_attack("gradient-reverse"),
+                checkpoint_path=ckpt, iterations=30, **config)
+        attack = "zero" if change == "attack" else "gradient-reverse"
+        if change == "profiles":
+            config["fault_model"] = NetworkFaultModel.uniform(
+                range(N),
+                FaultProfile(drop_prob=0.9, delay_prob=0.5, max_delay=3),
+                seed=7,
+            )
+        elif change == "reorder":
+            config["fault_model"] = NetworkFaultModel.uniform(
+                range(N), FaultProfile(drop_prob=0.05), seed=7, reorder=True
+            )
+        elif change == "resilience":
+            config["resilience"] = ResiliencePolicy.for_model(first, max_staleness=3)
+        with pytest.warns(UserWarning, match="different configuration"):
+            rerun = run_dgd(instance.costs, make_attack(attack),
+                            checkpoint_path=ckpt, iterations=60, **config)
+        assert rerun.extra["resumed_from_round"] == 0
+        fresh = run_dgd(instance.costs, make_attack(attack), iterations=60, **config)
+        assert np.array_equal(rerun.estimates, fresh.estimates)
+
     def test_completed_checkpoint_extends_into_longer_run(self, instance, tmp_path):
         ckpt = str(tmp_path / "run.ckpt.json")
         run_dgd(instance.costs, make_attack("gradient-reverse"), **self._config(ckpt))
