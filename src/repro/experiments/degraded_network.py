@@ -106,8 +106,8 @@ def run_degraded_network(
             )
     result.notes.append(
         "the B=0 / 0-straggler corner runs the synchronous engine; every "
-        "degraded cell runs the self-healing runtime with policy "
-        "ResiliencePolicy.for_model (staleness bound 2B, no silence "
-        "elimination), so no honest agent is ever eliminated"
+        "degraded cell runs the self-healing runtime under the rules its "
+        "fault model implies (staleness bound 2B, no silence elimination), "
+        "so no honest agent is ever eliminated"
     )
     return result

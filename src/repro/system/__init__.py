@@ -39,9 +39,7 @@ from repro.system.decentralized import (
     run_decentralized_dgd,
 )
 from repro.system.healing import (
-    LivenessTracker,
     NeighborhoodLiveness,
-    ResiliencePolicy,
     ResilientDGDServer,
     RoundInbox,
 )
@@ -113,8 +111,6 @@ __all__ = [
     "NetworkFaultModel",
     "PartiallySynchronousNetwork",
     "corrupt_gradient",
-    "ResiliencePolicy",
-    "LivenessTracker",
     "NeighborhoodLiveness",
     "RoundInbox",
     "ResilientDGDServer",

@@ -19,9 +19,8 @@ Fast-path requirements (checked by :func:`batch_unsupported_reason`):
   affine map ``x ↦ P_i x + q_i``;
 - the gradient filter is stateless (all registry filters except
   ``clipping``);
-- no crash faults, no network fault model, no resilience policy, no
-  checkpointing and no message recording (those need the full
-  message-passing simulator).
+- no crash faults, no network fault model, no checkpointing and no
+  message recording (those need the full message-passing simulator).
 
 Configurations outside the fast path transparently fall back to sequential
 :func:`run_dgd` per seed, so callers never need to special-case.
@@ -83,14 +82,10 @@ def batch_unsupported_reason(
     """
     if config.crash_rounds:
         return "crash faults need the full message-passing simulator"
-    if (
-        config.fault_model is not None
-        or config.resilience is not None
-        or config.checkpoint_path is not None
-    ):
+    if config.fault_model is not None or config.checkpoint_path is not None:
         return (
-            "network faults, resilience policies and checkpoints need the "
-            "full message-passing simulator"
+            "network faults and checkpoints need the full message-passing "
+            "simulator"
         )
     if config.record_messages:
         return "message recording needs the full message-passing simulator"
@@ -351,7 +346,7 @@ def run_dgd_batch(
     # Per-run randomness, derived exactly as the sequential runner does.
     adversary_rngs = []
     for seed in seeds:
-        adversary_rng, _network_rng = spawn_rngs(ensure_rng(seed), 2)
+        adversary_rng, _ = spawn_rngs(ensure_rng(seed), 2)
         adversary_rngs.append(adversary_rng)
 
     step_sizes = config.step_sizes or _default_schedule(costs, gradient_filter)

@@ -46,8 +46,10 @@ pure function of ``(seed, edge, round)``, the whole degraded execution is
 replayable from its seed.
 
 Each receiver keeps a freshest-wins per-edge buffer; a neighbor is *live*
-while its buffered state is at most ``resilience.max_staleness`` rounds
-old (bounded-staleness reuse). When a neighborhood shrinks below its
+while its buffered state is at most the model's ``staleness_bound()``
+rounds old (bounded-staleness reuse), non-finite payloads are quarantined,
+and a :class:`~repro.system.healing.NeighborhoodLiveness` suspects edges
+that keep missing their rounds. When a neighborhood shrinks below its
 ``2 f_i + 1`` closed-neighborhood requirement — deep partition, heavy
 loss — the agent degrades gracefully to its own state (local gradient
 descent) for the round rather than mixing an un-defendable set; a
@@ -83,7 +85,7 @@ from repro.optimization.projections import (
     numpy_batch_projector,
 )
 from repro.optimization.step_sizes import StepSizeSchedule, suggest_diminishing
-from repro.system.healing import NeighborhoodLiveness, ResiliencePolicy
+from repro.system.healing import NeighborhoodLiveness
 from repro.system.netfaults import LinkFaultModel, corrupt_payload_rows
 from repro.system.topology import Topology
 from repro.utils.rng import SeedLike, ensure_rng
@@ -237,7 +239,6 @@ def run_decentralized_dgd(
     seed: SeedLike = 0,
     telemetry: TelemetryLike = None,
     link_faults: Optional[LinkFaultModel] = None,
-    resilience: Optional[ResiliencePolicy] = None,
     record_states: bool = False,
     validate_feasibility: bool = True,
 ) -> DecentralizedExecutionResult:
@@ -265,11 +266,11 @@ def run_decentralized_dgd(
     x0:
         Common ``(d,)`` start, per-agent ``(n, d)`` starts, or ``None``
         for zeros.
-    link_faults / resilience:
-        The edge-level fault model and the healing policy (defaults to
-        :meth:`ResiliencePolicy.for_link_model`). ``None`` link faults run
-        the perfect-synchrony fast path. Every agent a partition or churn
-        window names must lie in ``[0, n)``.
+    link_faults:
+        The edge-level fault model, which also sets how stale a reused
+        neighbor state may be (``staleness_bound()``). ``None`` link
+        faults run the perfect-synchrony fast path. Every agent a
+        partition or churn window names must lie in ``[0, n)``.
     record_states:
         Keep the full ``(T + 1, n, d)`` trajectory (memory permitting).
     validate_feasibility:
@@ -338,13 +339,7 @@ def run_decentralized_dgd(
                     f"{kind} agent {agent} out of range for n={n}"
                 )
     faulted = model is not None and not model.is_null
-    policy = resilience
-    if policy is None:
-        policy = (
-            ResiliencePolicy.for_link_model(model)
-            if model is not None
-            else ResiliencePolicy(max_staleness=0)
-        )
+    max_staleness = 0 if model is None else model.staleness_bound()
 
     # The flat directed edge list: receiver-major, canonical neighbor
     # order within each receiver.
@@ -363,9 +358,7 @@ def run_decentralized_dgd(
     # and the mixing plan is fixed for the run.
     if faulted:
         edge_params = model.edge_parameters(senders, receivers)
-        liveness = NeighborhoodLiveness(
-            senders, receivers, policy.suspicion_threshold
-        )
+        liveness = NeighborhoodLiveness(senders, receivers)
         table = np.zeros((n + num_edges, dimension))
         edge_round = np.full(num_edges, -1, dtype=np.int64)
         history_len = model.delay_bound() + 1
@@ -440,9 +433,7 @@ def run_decentralized_dgd(
             # mixing plan over the live edges.
             down = None
             if faulted:
-                if policy.quarantine_non_finite:
-                    finite_rows = np.isfinite(B).all(axis=1)
-                    history_finite[slot * n : (slot + 1) * n] = finite_rows
+                history_finite[slot * n : (slot + 1) * n] = np.isfinite(B).all(axis=1)
                 draws = model.draw_link_faults(t, senders, receivers, edge_params)
                 dropped, delay = draws["dropped"], draws["delay"]
                 origin = t - delay
@@ -462,13 +453,12 @@ def run_decentralized_dgd(
                         receivers[corrupt],
                     )
                     counters["corrupted_edges"] += int(corrupt.size)
-                if policy.quarantine_non_finite:
-                    finite = history_finite[source]
-                    if corrupt.size:
-                        finite[corrupt] = np.isfinite(damaged).all(axis=1)
-                    bad = delivered & ~finite
-                    counters["quarantined"] += int(bad.sum())
-                    delivered &= ~bad
+                finite = history_finite[source]
+                if corrupt.size:
+                    finite[corrupt] = np.isfinite(damaged).all(axis=1)
+                bad = delivered & ~finite
+                counters["quarantined"] += int(bad.sum())
+                delivered &= ~bad
                 dropped_now = int(dropped.sum())
                 counters["dropped_edges"] += dropped_now
                 counters["delayed_edges"] += int((delivered & (delay > 0)).sum())
@@ -483,7 +473,7 @@ def run_decentralized_dgd(
                     stored = fresh[corrupt]
                     table[n + corrupt[stored]] = damaged[stored]
                 edge_round[upd] = origin[upd]
-                live = (edge_round >= 0) & (t - edge_round <= policy.max_staleness)
+                live = (edge_round >= 0) & (t - edge_round <= max_staleness)
                 counters["stale_reuses"] += int((live & (edge_round < t)).sum())
                 down = model.down_mask(t, n)
                 counters["frozen_agent_rounds"] += int(down.sum())
@@ -560,7 +550,7 @@ def run_decentralized_dgd(
                     )
     elapsed = time.perf_counter() - start
 
-    extra: Dict[str, object] = {"max_staleness": policy.max_staleness}
+    extra: Dict[str, object] = {"max_staleness": max_staleness}
     if liveness is not None:
         extra["suspected_edges"] = liveness.suspected_edges()
     return DecentralizedExecutionResult(

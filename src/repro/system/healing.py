@@ -12,32 +12,34 @@ module provides the hardened runtime:
   under duplication), validates payloads at the message boundary, and
   quarantines non-finite or wrong-shaped gradients before they can reach
   an aggregator whose norm-sort is undefined on NaN;
-- :class:`LivenessTracker` — distinguishes *slow* from *provably faulty*:
-  agents that miss deadlines accumulate suspicion instead of being
-  eliminated, and are reinstated the moment a valid message arrives;
-- :class:`ResiliencePolicy` — the tuning surface: bounded-staleness
-  gradient reuse for stragglers, the suspicion threshold, whether silence
-  still eliminates (it does exactly when the fault model preserves
-  synchrony), whether equivocation eliminates, and the payload
-  quarantine;
+- :class:`NeighborhoodLiveness` — distinguishes *slow* from *provably
+  faulty* per directed link: a link that misses
+  :data:`SUSPICION_THRESHOLD` consecutive deadlines is suspected instead
+  of cut, and reinstated the moment it delivers again. The decentralized
+  engine tracks the edges of its graph; the server tracks its ``n``
+  agent→server edges;
 - :class:`ResilientDGDServer` — per-round deadlines with partial
   aggregation: each round it aggregates the fresh gradients plus
   bounded-staleness reuses, re-invoking the ``FilterFactory`` for the
   reduced participant count ``(k, f)``, and stalls (no movement) rather
-  than updating when fewer than ``f + 1`` gradients are available. Server
-  state checkpoints to a JSON-serializable dict (float64 payloads encoded
-  losslessly as hex) and restores bit-identically.
+  than updating when fewer gradients arrived than its filter needs, and
+  never below ``f + 1``. Server state checkpoints to a JSON-serializable
+  dict (float64 payloads encoded losslessly as hex) and restores
+  bit-identically.
 
-With a null fault model the hardened server reduces *exactly* to the
-synchronous one — same elimination semantics, same filter invocations,
-same update arithmetic via the shared ``DGDServer._filtered_update`` —
-which the test suite pins bit-for-bit.
+The server takes its rules from its
+:class:`~repro.system.netfaults.NetworkFaultModel`: silence eliminates
+while the model preserves synchrony, a reused gradient may be
+``staleness_bound()`` rounds old, and payloads are quarantined when the
+model corrupts. With a null fault model the hardened server therefore
+reduces *exactly* to the synchronous one — same elimination semantics,
+same filter invocations, same update arithmetic via the shared
+``DGDServer._filtered_update`` — which the test suite pins bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,220 +47,43 @@ from repro.exceptions import InvalidParameterError, ProtocolViolationError
 from repro.observability import TelemetryLike
 from repro.optimization.projections import ConvexSet
 from repro.optimization.step_sizes import StepSizeSchedule
-from repro.system.messages import GradientMessage
-from repro.system.netfaults import LinkFaultModel, NetworkFaultModel
+from repro.system.messages import SERVER_ID, GradientMessage
+from repro.system.netfaults import NetworkFaultModel
 from repro.system.server import DGDServer, FilterFactory
 
 __all__ = [
-    "ResiliencePolicy",
-    "LivenessTracker",
+    "SUSPICION_THRESHOLD",
     "NeighborhoodLiveness",
     "RoundInbox",
     "ResilientDGDServer",
 ]
 
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """How the hardened server trades liveness against safety.
-
-    Attributes
-    ----------
-    max_staleness:
-        How many rounds old a reused gradient may be. ``0`` disables
-        reuse; under a fault model with delay bound ``B`` the natural
-        value is ``2B`` (broadcast out plus reply back).
-    suspicion_threshold:
-        Consecutive missed deadlines before an agent is *suspected*.
-        Suspicion is bookkeeping, not punishment — a suspected agent's
-        messages are still accepted and it is reinstated on its next
-        valid delivery.
-    eliminate_on_silence:
-        When set, a silent agent is eliminated exactly as in the
-        synchronous protocol (silence is proof). Sound only when the
-        fault model cannot delay or drop honest traffic;
-        :meth:`for_model` sets it from the model's synchrony analysis.
-    eliminate_on_conflict:
-        When set, two *different finite* payloads from one sender in one
-        round (equivocation) eliminate the sender. Off by default: a
-        network that duplicates and bit-flips can manufacture exactly
-        that evidence against an honest agent.
-    quarantine_non_finite:
-        When set (default), non-finite or wrong-shaped payloads are
-        quarantined at the message boundary; otherwise they pass through
-        to ``GradientFilter.sanitize`` as in the synchronous server.
-        :meth:`for_model` sets it only when the model can corrupt
-        payloads, so a null model keeps the synchronous behaviour.
-    """
-
-    max_staleness: int = 1
-    suspicion_threshold: int = 2
-    eliminate_on_silence: bool = True
-    eliminate_on_conflict: bool = False
-    quarantine_non_finite: bool = True
-
-    def __post_init__(self):
-        if self.max_staleness < 0:
-            raise InvalidParameterError(
-                f"max_staleness must be >= 0, got {self.max_staleness}"
-            )
-        if self.suspicion_threshold < 1:
-            raise InvalidParameterError(
-                f"suspicion_threshold must be >= 1, got {self.suspicion_threshold}"
-            )
-
-    @classmethod
-    def for_model(cls, model: NetworkFaultModel, **overrides) -> "ResiliencePolicy":
-        """The policy matched to a fault model's synchrony analysis."""
-        defaults = dict(
-            max_staleness=model.staleness_bound(),
-            eliminate_on_silence=model.preserves_synchrony,
-            quarantine_non_finite=any(
-                p.corrupt_prob > 0 for p in model.profiles.values()
-            ),
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
-
-    @classmethod
-    def for_link_model(
-        cls, model: LinkFaultModel, **overrides
-    ) -> "ResiliencePolicy":
-        """The policy matched to a link-level fault model.
-
-        Under link faults, silence on one edge never proves the *sender*
-        faulty — the link, a partition, or churn explains it equally well
-        — so ``eliminate_on_silence`` is sound only for the null model.
-        ``max_staleness`` follows the model's one-way staleness bound
-        (states travel a single hop in the decentralized architecture).
-        """
-        defaults = dict(
-            max_staleness=model.staleness_bound(),
-            eliminate_on_silence=model.is_null,
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
-
-
-class LivenessTracker:
-    """Per-agent deadline bookkeeping: live → suspected → reinstated.
-
-    Suspicion is evidence of *slowness*, never proof of faultiness — in a
-    partially-synchronous system only payload-level misbehaviour can be
-    proven. The tracker therefore never removes an agent on its own; it
-    reports transitions so the server (and telemetry) can act.
-    """
-
-    def __init__(self, agent_ids: Iterable[int], suspicion_threshold: int):
-        if suspicion_threshold < 1:
-            raise InvalidParameterError(
-                f"suspicion_threshold must be >= 1, got {suspicion_threshold}"
-            )
-        self._threshold = int(suspicion_threshold)
-        self._misses: Dict[int, int] = {int(i): 0 for i in agent_ids}
-        self._last_seen: Dict[int, int] = {int(i): -1 for i in agent_ids}
-        self._suspected: Set[int] = set()
-        self.reinstatements = 0
-
-    @property
-    def suspicion_threshold(self) -> int:
-        return self._threshold
-
-    @property
-    def suspected(self) -> List[int]:
-        return sorted(self._suspected)
-
-    def consecutive_misses(self, agent_id: int) -> int:
-        return self._misses.get(int(agent_id), 0)
-
-    def last_seen(self, agent_id: int) -> int:
-        """Round of the agent's last fresh response (``-1`` if never)."""
-        return self._last_seen.get(int(agent_id), -1)
-
-    def forget(self, agent_id: int) -> None:
-        """Stop tracking an (eliminated) agent."""
-        agent_id = int(agent_id)
-        self._misses.pop(agent_id, None)
-        self._last_seen.pop(agent_id, None)
-        self._suspected.discard(agent_id)
-
-    def observe(
-        self, round_index: int, responders: Iterable[int]
-    ) -> Tuple[List[int], List[int]]:
-        """Account one round's responders among all tracked agents.
-
-        Returns ``(newly_suspected, reinstated)``, both sorted.
-        """
-        responded = {int(i) for i in responders}
-        newly_suspected: List[int] = []
-        reinstated: List[int] = []
-        for agent_id in self._misses:
-            if agent_id in responded:
-                self._misses[agent_id] = 0
-                self._last_seen[agent_id] = int(round_index)
-                if agent_id in self._suspected:
-                    self._suspected.remove(agent_id)
-                    self.reinstatements += 1
-                    reinstated.append(agent_id)
-            else:
-                self._misses[agent_id] += 1
-                if (
-                    self._misses[agent_id] >= self._threshold
-                    and agent_id not in self._suspected
-                ):
-                    self._suspected.add(agent_id)
-                    newly_suspected.append(agent_id)
-        return sorted(newly_suspected), sorted(reinstated)
-
-    def state(self) -> Dict:
-        return {
-            "threshold": self._threshold,
-            "misses": {str(k): v for k, v in self._misses.items()},
-            "last_seen": {str(k): v for k, v in self._last_seen.items()},
-            "suspected": sorted(self._suspected),
-            "reinstatements": self.reinstatements,
-        }
-
-    def restore_state(self, state: Dict) -> None:
-        self._threshold = int(state["threshold"])
-        self._misses = {int(k): int(v) for k, v in state["misses"].items()}
-        self._last_seen = {int(k): int(v) for k, v in state["last_seen"].items()}
-        self._suspected = set(int(i) for i in state["suspected"])
-        self.reinstatements = int(state["reinstatements"])
+#: Consecutive missed deadlines before a link is suspected.
+SUSPICION_THRESHOLD = 2
 
 
 class NeighborhoodLiveness:
     """Vectorized per-*link* liveness over a fixed directed edge list.
 
-    The decentralized analogue of :class:`LivenessTracker`: where the
-    server tracks ``n`` agents, a sparse graph must track ``E`` directed
-    edges — agent ``j`` can be perfectly live toward one neighbor and
-    silent toward another (asymmetric link faults, partitions). State is
-    three flat arrays indexed by edge, so one round of accounting over
-    10k edges is a handful of array ops.
+    An agent can be perfectly live toward one neighbor and silent toward
+    another (asymmetric link faults, partitions), so liveness is tracked
+    per directed edge: ``E`` edges of a sparse graph, or the ``n``
+    agent→server edges of the server. State is three flat arrays indexed
+    by edge, so one round of accounting over 10k edges is a handful of
+    array ops.
 
-    Like the agent tracker, suspicion is evidence of link *badness*,
-    never proof of sender faultiness; a suspected edge is reinstated the
-    moment it delivers again.
+    Suspicion is evidence of link *badness*, never proof of sender
+    faultiness; a suspected edge is reinstated the moment it delivers
+    again.
     """
 
-    def __init__(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        suspicion_threshold: int,
-    ):
-        if suspicion_threshold < 1:
-            raise InvalidParameterError(
-                f"suspicion_threshold must be >= 1, got {suspicion_threshold}"
-            )
+    def __init__(self, senders: np.ndarray, receivers: np.ndarray):
         self._senders = np.asarray(senders, dtype=np.int64).copy()
         self._receivers = np.asarray(receivers, dtype=np.int64).copy()
         if self._senders.shape != self._receivers.shape or self._senders.ndim != 1:
             raise InvalidParameterError(
                 "senders and receivers must be 1-D arrays of equal length"
             )
-        self._threshold = int(suspicion_threshold)
         self._misses = np.zeros(self._senders.shape[0], dtype=np.int64)
         self._last_seen = np.full(self._senders.shape[0], -1, dtype=np.int64)
         self._suspected = np.zeros(self._senders.shape[0], dtype=bool)
@@ -269,10 +94,6 @@ class NeighborhoodLiveness:
     @property
     def num_edges(self) -> int:
         return int(self._senders.shape[0])
-
-    @property
-    def suspicion_threshold(self) -> int:
-        return self._threshold
 
     @property
     def suspected(self) -> np.ndarray:
@@ -290,10 +111,7 @@ class NeighborhoodLiveness:
 
     def suspected_edges(self) -> List[Tuple[int, int]]:
         """Currently suspected ``(sender, receiver)`` pairs, sorted."""
-        index = np.flatnonzero(self._suspected)
-        return sorted(
-            (int(self._senders[i]), int(self._receivers[i])) for i in index
-        )
+        return self._edges_of(self._suspected)
 
     def observe(self, round_index: int, delivered: np.ndarray) -> Tuple[int, int]:
         """Account one round of deliveries; ``delivered`` is bool ``(E,)``.
@@ -310,7 +128,7 @@ class NeighborhoodLiveness:
         reinstated = int(reinstated_mask.sum())
         self._misses = np.where(delivered, 0, self._misses + 1)
         self._last_seen = np.where(delivered, int(round_index), self._last_seen)
-        now_suspected = self._misses >= self._threshold
+        now_suspected = self._misses >= SUSPICION_THRESHOLD
         newly_mask = now_suspected & ~self._suspected
         newly = int(newly_mask.sum())
         self._last_newly = newly_mask
@@ -345,7 +163,6 @@ class NeighborhoodLiveness:
 
     def state(self) -> Dict:
         return {
-            "threshold": self._threshold,
             "misses": self._misses.tolist(),
             "last_seen": self._last_seen.tolist(),
             "suspected": self._suspected.tolist(),
@@ -353,7 +170,6 @@ class NeighborhoodLiveness:
         }
 
     def restore_state(self, state: Dict) -> None:
-        self._threshold = int(state["threshold"])
         self._misses = np.asarray(state["misses"], dtype=np.int64)
         self._last_seen = np.asarray(state["last_seen"], dtype=np.int64)
         self._suspected = np.asarray(state["suspected"], dtype=bool)
@@ -492,13 +308,14 @@ class ResilientDGDServer(DGDServer):
     classified. The update then aggregates the fresh set plus
     bounded-staleness reuses, re-invoking the filter factory at the
     reduced ``(k, f)`` when participation is partial, and stalls (holds
-    the estimate) when fewer than ``f + 1`` responded.
+    the estimate) when fewer gradients arrived than the filter needs.
 
-    Elimination semantics are policy-driven: with
-    ``eliminate_on_silence`` (sound only under preserved synchrony) the
-    behaviour is the synchronous server's, bit for bit; otherwise silence
-    only feeds the :class:`LivenessTracker` and every agent keeps its
-    seat — "slow" is not "faulty".
+    The rules come from ``fault_model`` (a null model when omitted).
+    While it preserves synchrony, a silent agent is eliminated and the
+    behaviour is the synchronous server's, bit for bit. Otherwise silence
+    only feeds a :class:`NeighborhoodLiveness` over the ``n``
+    agent→server edges and every agent keeps its seat — "slow" is not
+    "faulty".
     """
 
     def __init__(
@@ -510,15 +327,24 @@ class ResilientDGDServer(DGDServer):
         n: int,
         f: int,
         telemetry: TelemetryLike = None,
-        policy: Optional[ResiliencePolicy] = None,
+        fault_model: Optional[NetworkFaultModel] = None,
     ):
         super().__init__(
             filter_factory, step_sizes, projection, x0, n, f, telemetry=telemetry
         )
-        self._policy = policy if policy is not None else ResiliencePolicy()
+        model = fault_model if fault_model is not None else NetworkFaultModel()
+        self._max_staleness = model.staleness_bound()
+        self._eliminate_on_silence = model.preserves_synchrony
+        self._quarantine = model.corrupts
         self._dimension = int(self._estimate.shape[0])
         self._inbox = RoundInbox()
-        self._liveness = LivenessTracker(range(n), self._policy.suspicion_threshold)
+        # Where silence eliminates, every agent left answered, so there is
+        # nothing to suspect; elsewhere no agent is ever eliminated.
+        self._liveness = (
+            None
+            if self._eliminate_on_silence
+            else NeighborhoodLiveness(np.arange(n), np.full(n, SERVER_ID))
+        )
         self._stale_reuses = 0
         self._stalled_rounds = 0
         self._ignored_messages = 0
@@ -528,20 +354,19 @@ class ResilientDGDServer(DGDServer):
     # ------------------------------------------------------------------
 
     @property
-    def policy(self) -> ResiliencePolicy:
-        return self._policy
-
-    @property
     def inbox(self) -> RoundInbox:
         return self._inbox
 
     @property
-    def liveness(self) -> LivenessTracker:
+    def liveness(self) -> Optional[NeighborhoodLiveness]:
+        """Per-agent liveness, or ``None`` where silence eliminates."""
         return self._liveness
 
     @property
     def suspected_agents(self) -> List[int]:
-        return self._liveness.suspected
+        if self._liveness is None:
+            return []
+        return np.flatnonzero(self._liveness.suspected).tolist()
 
     @property
     def stale_reuses(self) -> int:
@@ -565,8 +390,10 @@ class ResilientDGDServer(DGDServer):
             "quarantined_payloads": self._inbox.quarantined_total,
             "quarantined_by_agent": self._inbox.quarantined_by_agent,
             "conflicts_by_agent": self._inbox.conflicts_by_agent,
-            "suspected": self._liveness.suspected,
-            "reinstatements": self._liveness.reinstatements,
+            "suspected": self.suspected_agents,
+            "reinstatements": (
+                0 if self._liveness is None else self._liveness.reinstatements
+            ),
             "ignored_messages": self._ignored_messages,
             "eliminated": list(self._eliminated),
         }
@@ -574,37 +401,6 @@ class ResilientDGDServer(DGDServer):
     # ------------------------------------------------------------------
     # The hardened round
     # ------------------------------------------------------------------
-
-    def eliminate_provably_faulty(self, agent_ids: Sequence[int]) -> List[int]:
-        """Eliminate agents with payload-level proof of faultiness.
-
-        Unlike silence, equivocation (when the policy trusts it) is
-        evidence the agent itself produced; elimination decrements both
-        ``n`` and ``f`` and rebuilds the filter, as in the paper's S1.
-        """
-        guilty = sorted(set(int(i) for i in agent_ids) & self._active)
-        if not guilty:
-            return []
-        if len(guilty) > self._f:
-            raise ProtocolViolationError(
-                f"{len(guilty)} provably faulty agents exceed fault budget {self._f}"
-            )
-        for agent_id in guilty:
-            self._active.remove(agent_id)
-            self._eliminated.append(agent_id)
-            self._liveness.forget(agent_id)
-        self._n -= len(guilty)
-        self._f -= len(guilty)
-        self._filter = self._filter_factory(self._n, self._f)
-        if self._telemetry:
-            self._telemetry.emit(
-                "conflict_elimination",
-                round=self._round,
-                agents=guilty,
-                n=self._n,
-                f=self._f,
-            )
-        return guilty
 
     def step_partial(self, messages: Sequence[GradientMessage]) -> np.ndarray:
         """Run one round deadline from whatever the network delivered.
@@ -615,9 +411,10 @@ class ResilientDGDServer(DGDServer):
         possibly unchanged — estimate.
         """
         r = self._round
-        policy = self._policy
         quarantined_now: List[int] = []
-        conflicted_now: List[int] = []
+        # Senders whose reply for this round the network damaged: they
+        # spoke, so silence elimination spares them.
+        quarantined_fresh: Set[int] = set()
         for message in messages:
             if not isinstance(message, GradientMessage):
                 raise ProtocolViolationError(
@@ -634,27 +431,27 @@ class ResilientDGDServer(DGDServer):
             status = self._inbox.offer(
                 message,
                 dimension=self._dimension,
-                quarantine_non_finite=policy.quarantine_non_finite,
+                quarantine_non_finite=self._quarantine,
             )
             if status == RoundInbox.QUARANTINED:
                 quarantined_now.append(message.sender)
-            elif status == RoundInbox.CONFLICT:
-                conflicted_now.append(message.sender)
-
-        if policy.eliminate_on_conflict and conflicted_now:
-            self.eliminate_provably_faulty(conflicted_now)
+                if message.round_index == r:
+                    quarantined_fresh.add(message.sender)
 
         fresh = self._inbox.fresh_senders(r) & self._active
-        if policy.eliminate_on_silence:
-            for eliminated in self.eliminate_silent(sorted(fresh)):
-                self._liveness.forget(eliminated)
-        newly_suspected, reinstated = self._liveness.observe(r, fresh)
+        newly = reinstated = 0
+        if self._eliminate_on_silence:
+            self.eliminate_silent(sorted(fresh | quarantined_fresh))
+        else:
+            delivered = np.zeros(self._liveness.num_edges, dtype=bool)
+            delivered[list(fresh)] = True
+            newly, reinstated = self._liveness.observe(r, delivered)
 
         ordered: List[GradientMessage] = []
         stale_reused: List[int] = []
         missing: List[int] = []
         for agent_id in sorted(self._active):
-            found = self._inbox.latest(agent_id, r, policy.max_staleness)
+            found = self._inbox.latest(agent_id, r, self._max_staleness)
             if found is None:
                 missing.append(agent_id)
                 continue
@@ -666,8 +463,9 @@ class ResilientDGDServer(DGDServer):
 
         # With at most f Byzantine agents, any f + 1 gradients still
         # contain an honest one: the weakest premise under which a
-        # filtered step can point anywhere trustworthy.
-        quorum = self._f + 1
+        # filtered step can point anywhere trustworthy. The filter itself
+        # may need more rows than that.
+        quorum = max(self._f + 1, self._filter.minimum_inputs())
         k = len(ordered)
         if k < quorum:
             self._stalled_rounds += 1
@@ -684,18 +482,22 @@ class ResilientDGDServer(DGDServer):
             self._filtered_update(ordered, gradient_filter)
 
         if self._telemetry and (
-            stale_reused or quarantined_now or newly_suspected or reinstated or missing
+            stale_reused or quarantined_now or newly or reinstated or missing
         ):
             self._telemetry.record_liveness(
                 round_index=r,
                 fresh=sorted(fresh & self._active),
                 stale_reused=stale_reused,
                 quarantined=sorted(quarantined_now),
-                suspected=newly_suspected,
-                reinstated=reinstated,
+                suspected=[
+                    agent for agent, _ in self._liveness.last_newly_suspected_edges()
+                ] if newly else [],
+                reinstated=[
+                    agent for agent, _ in self._liveness.last_reinstated_edges()
+                ] if reinstated else [],
                 missing=missing,
             )
-        self._inbox.prune(self._round - policy.max_staleness)
+        self._inbox.prune(self._round - self._max_staleness)
         return self.estimate
 
     # ------------------------------------------------------------------
@@ -722,7 +524,7 @@ class ResilientDGDServer(DGDServer):
             "active": sorted(self._active),
             "eliminated": list(self._eliminated),
             "inbox": self._inbox.state(),
-            "liveness": self._liveness.state(),
+            "liveness": None if self._liveness is None else self._liveness.state(),
             "counters": {
                 "stale_reuses": self._stale_reuses,
                 "stalled_rounds": self._stalled_rounds,
@@ -744,7 +546,8 @@ class ResilientDGDServer(DGDServer):
         self._active = set(int(i) for i in state["active"])
         self._eliminated = [int(i) for i in state["eliminated"]]
         self._inbox.restore_state(state["inbox"])
-        self._liveness.restore_state(state["liveness"])
+        if self._liveness is not None:
+            self._liveness.restore_state(state["liveness"])
         counters = state["counters"]
         self._stale_reuses = int(counters["stale_reuses"])
         self._stalled_rounds = int(counters["stalled_rounds"])

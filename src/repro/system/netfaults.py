@@ -30,6 +30,13 @@ Faults compose per agent through a :class:`FaultProfile`; the model applies
 a sender's profile to its uplink traffic and a receiver's profile to its
 downlink traffic, so "agent 3 is a straggler behind a lossy link" is one
 profile attached to one id.
+
+The self-healing runtimes (:mod:`repro.system.healing`, the peer-to-peer
+overlay and the decentralized engine) take their rules from the model
+alone: silence eliminates an agent while
+:attr:`NetworkFaultModel.preserves_synchrony` holds, a reused value may be
+``staleness_bound()`` rounds old, and payloads are quarantined when the
+model :attr:`~NetworkFaultModel.corrupts` (always, under link faults).
 """
 
 from __future__ import annotations
@@ -274,6 +281,16 @@ class NetworkFaultModel:
         """Whether silence is still proof of faultiness under this model."""
         return all(p.preserves_synchrony for p in self.profiles.values())
 
+    @property
+    def corrupts(self) -> bool:
+        """Whether some profile can corrupt a payload in flight.
+
+        Only then are non-finite payloads quarantined: under a model that
+        cannot corrupt, a non-finite payload is its sender's doing and
+        goes to ``GradientFilter.sanitize`` as on the synchronous server.
+        """
+        return any(p.corrupt_prob > 0 for p in self.profiles.values())
+
     def delay_bound(self) -> int:
         """The model-wide bound ``B`` on message delay, in rounds."""
         if not self.profiles:
@@ -364,7 +381,7 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
         fault_model: Optional[NetworkFaultModel] = None,
         log_capacity: int = 10_000,
     ):
-        super().__init__(drop_probabilities=None, rng=None, log_capacity=log_capacity)
+        super().__init__(log_capacity=log_capacity)
         self._model = fault_model if fault_model is not None else NetworkFaultModel()
         self._pending: Dict[int, List[_InFlight]] = defaultdict(list)
         self._sequence = 0

@@ -3,7 +3,9 @@
 Models the paper's synchrony assumption: every message sent in a round is
 delivered within that round, so a missing reply is *proof* the sender is
 faulty (the server exploits this to eliminate silent agents). The network
-logs every delivery for post-hoc inspection and accounts traffic volume.
+logs every delivery for post-hoc inspection and accounts traffic volume,
+dropped traffic included (which only the partially-synchronous subclass
+in :mod:`repro.system.netfaults` produces).
 The log keeps one plain row per delivered or dropped message and builds
 the :class:`DeliveryRecord` objects only when it is read.
 """
@@ -13,11 +15,10 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.system.messages import Message
-from repro.utils.validation import check_probability
 
 
 @dataclass(frozen=True)
@@ -37,32 +38,14 @@ class SynchronousNetwork:
 
     Parameters
     ----------
-    drop_probabilities:
-        Optional per-sender probability that a message from that sender is
-        lost in a round. In the synchronous model only *faulty* senders may
-        be silent, so configuring a positive probability for an honest
-        agent models a crash fault that the server will correctly attribute
-        to faultiness.
-    rng:
-        Randomness source for drops.
     log_capacity:
         Maximum retained delivery records (older records are evicted);
         counters are never evicted.
     """
 
-    def __init__(
-        self,
-        drop_probabilities: Optional[Dict[int, float]] = None,
-        rng=None,
-        log_capacity: int = 10_000,
-    ):
+    def __init__(self, log_capacity: int = 10_000):
         if log_capacity <= 0:
             raise InvalidParameterError(f"log_capacity must be positive, got {log_capacity}")
-        self._drop_probabilities = {
-            int(k): check_probability(v, name=f"drop_probabilities[{k}]")
-            for k, v in (drop_probabilities or {}).items()
-        }
-        self._rng = rng
         # One DeliveryRecord field tuple per message, in field order.
         self._log: Deque[Tuple] = deque(maxlen=int(log_capacity))
         self._messages_delivered = 0
@@ -132,16 +115,6 @@ class SynchronousNetwork:
             )
         return [DeliveryRecord(*row) for row in self._log]
 
-    def _should_drop(self, sender: int) -> bool:
-        probability = self._drop_probabilities.get(sender, 0.0)
-        if probability <= 0.0:
-            return False
-        if self._rng is None:
-            raise InvalidParameterError(
-                "drop probabilities configured but no rng supplied to the network"
-            )
-        return bool(self._rng.random() < probability)
-
     def _record(self, message: Message, receiver: int, dropped: bool) -> None:
         """Log one delivered or dropped message and count its traffic."""
         size = message.size_bytes()
@@ -161,26 +134,15 @@ class SynchronousNetwork:
             self._messages_delivered += 1
             self._bytes_delivered += size
 
-    def deliver(self, message: Message, receiver: int) -> Optional[Message]:
-        """Deliver one message; returns ``None`` when the message is dropped."""
-        dropped = self._should_drop(message.sender)
-        self._record(message, receiver, dropped)
-        return None if dropped else message
+    def deliver(self, message: Message, receiver: int) -> Message:
+        """Deliver one message within its round."""
+        self._record(message, receiver, False)
+        return message
 
     def broadcast(self, message: Message, receivers: Iterable[int]) -> Dict[int, Message]:
         """Deliver ``message`` to every receiver; returns the per-receiver copies."""
-        delivered: Dict[int, Message] = {}
-        for receiver in receivers:
-            result = self.deliver(message, receiver)
-            if result is not None:
-                delivered[int(receiver)] = result
-        return delivered
+        return {int(receiver): self.deliver(message, receiver) for receiver in receivers}
 
     def gather(self, messages: Iterable[Message], receiver: int) -> List[Message]:
-        """Deliver many messages to one receiver, dropping per sender policy."""
-        received: List[Message] = []
-        for message in messages:
-            result = self.deliver(message, receiver)
-            if result is not None:
-                received.append(result)
-        return received
+        """Deliver many messages to one receiver."""
+        return [self.deliver(message, receiver) for message in messages]

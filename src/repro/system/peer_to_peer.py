@@ -26,7 +26,6 @@ from repro.optimization.projections import BoxSet, ConvexSet
 from repro.optimization.step_sizes import StepSizeSchedule
 from repro.system.broadcast import EquivocatingSender, byzantine_broadcast
 from repro.system.faultinjection import KeyedDraws
-from repro.system.healing import ResiliencePolicy
 from repro.system.netfaults import NetworkFaultModel, corrupt_gradient
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_fault_bound, check_vector
@@ -72,7 +71,6 @@ def _degrade_agreed_rows(
     rows: List[np.ndarray],
     t: int,
     model: NetworkFaultModel,
-    policy: ResiliencePolicy,
     in_flight: List,
     last_agreed: Dict[int, tuple],
     counters: Dict[str, int],
@@ -86,12 +84,15 @@ def _degrade_agreed_rows(
     agents degrade the matrix identically and agreement survives. A
     sender's value can be lost for the round, delayed a bounded number of
     rounds, or corrupted; consumers fall back to the sender's last agreed
-    value up to ``policy.max_staleness`` rounds old and to the zero vector
-    (the protocol's ⊥ convention) beyond that. Duplicated deliveries are
+    value up to ``model.staleness_bound()`` rounds old and to the zero
+    vector (the protocol's ⊥ convention) beyond that, and quarantine
+    non-finite arrivals when the model corrupts. Duplicated deliveries are
     inherently idempotent here — re-delivering an agreed value changes
     nothing — so duplication needs no handling.
     """
     seed = model.seed
+    max_staleness = model.staleness_bound()
+    quarantine = model.corrupts
     for sender, value in enumerate(rows):
         profile = model.profile(sender)
         key = ("p2p", sender, t)
@@ -126,7 +127,7 @@ def _degrade_agreed_rows(
     in_flight[:] = remaining
 
     for sender, (origin, value) in arrivals.items():
-        if policy.quarantine_non_finite and not np.all(np.isfinite(value)):
+        if quarantine and not np.all(np.isfinite(value)):
             counters["quarantined"] += 1
             continue
         prev = last_agreed.get(sender)
@@ -136,7 +137,7 @@ def _degrade_agreed_rows(
     degraded: List[np.ndarray] = []
     for sender in range(len(rows)):
         entry = last_agreed.get(sender)
-        if entry is not None and t - entry[0] <= policy.max_staleness:
+        if entry is not None and t - entry[0] <= max_staleness:
             if entry[0] < t:
                 counters["stale_reuses"] += 1
             degraded.append(entry[1])
@@ -159,7 +160,6 @@ def run_peer_to_peer_dgd(
     equivocate: bool = True,
     telemetry: TelemetryLike = None,
     fault_model: Optional[NetworkFaultModel] = None,
-    resilience: Optional["ResiliencePolicy"] = None,
 ) -> PeerExecutionResult:
     """Run filtered DGD in the peer-to-peer architecture.
 
@@ -191,14 +191,11 @@ def run_peer_to_peer_dgd(
         ``(model seed, "p2p", sender, round)`` — identical at every honest
         agent — so broadcast agreement is preserved by construction. A
         ``None`` or null model reproduces the fault-free execution
-        bit-for-bit.
-    resilience:
-        Optional :class:`~repro.system.healing.ResiliencePolicy`; defaults
-        to ``ResiliencePolicy.for_model(fault_model)``. Under faults each
-        honest agent reuses a sender's last agreed gradient up to
-        ``max_staleness`` rounds old and zero-fills beyond (the protocol's
-        deterministic ⊥ convention), and quarantines non-finite agreed
-        values at the message boundary.
+        bit-for-bit. Under faults each honest agent reuses a sender's last
+        agreed gradient up to the model's ``staleness_bound()`` rounds old
+        and zero-fills beyond (the protocol's deterministic ⊥ convention),
+        and, when the model corrupts, quarantines non-finite agreed values
+        at the message boundary.
     """
     costs = list(costs)
     n = len(costs)
@@ -231,7 +228,6 @@ def run_peer_to_peer_dgd(
     estimates[0] = local[honest[0]]
     broadcast_messages = 0
 
-    policy: Optional[ResiliencePolicy] = None
     in_flight: List = []
     last_agreed: Dict[int, tuple] = {}
     overlay_counters = {
@@ -242,12 +238,6 @@ def run_peer_to_peer_dgd(
         "stale_reuses": 0,
         "zero_filled": 0,
     }
-    if fault_model is not None:
-        policy = (
-            resilience
-            if resilience is not None
-            else ResiliencePolicy.for_model(fault_model)
-        )
 
     tel = ensure_telemetry(telemetry)
     if tel:
@@ -301,7 +291,6 @@ def run_peer_to_peer_dgd(
                         delivered_rows,
                         t,
                         fault_model,
-                        policy,
                         in_flight,
                         last_agreed,
                         overlay_counters,
@@ -343,7 +332,7 @@ def run_peer_to_peer_dgd(
     extra: Dict[str, object] = {}
     if fault_model is not None:
         extra["degraded"] = dict(overlay_counters)
-        extra["max_staleness"] = policy.max_staleness
+        extra["max_staleness"] = fault_model.staleness_bound()
     return PeerExecutionResult(
         estimates=estimates,
         honest_ids=honest,

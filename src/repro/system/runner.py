@@ -29,7 +29,7 @@ from repro.optimization.step_sizes import (
 )
 from repro.system.adversary import Adversary
 from repro.system.agents import Agent, CrashAgent, HonestAgent
-from repro.system.healing import ResiliencePolicy, ResilientDGDServer
+from repro.system.healing import ResilientDGDServer
 from repro.system.messages import SERVER_ID, GradientMessage
 from repro.system.netfaults import NetworkFaultModel, PartiallySynchronousNetwork
 from repro.system.network import SynchronousNetwork
@@ -61,7 +61,7 @@ class DGDConfig:
     projection:
         The compact set ``W``; defaults to a large centered box.
     seed:
-        Master seed from which agent/adversary/network streams derive.
+        Master seed from which agent/adversary streams derive.
     record_messages:
         Keep the network's delivery log (memory-heavy for long runs).
     log_capacity:
@@ -78,11 +78,9 @@ class DGDConfig:
         Optional :class:`~repro.system.netfaults.NetworkFaultModel`. When
         set (even to a null model), the execution runs on the
         partially-synchronous network and the self-healing
-        :class:`~repro.system.healing.ResilientDGDServer`; a null model
-        reproduces the synchronous execution bit-for-bit.
-    resilience:
-        Optional :class:`~repro.system.healing.ResiliencePolicy` override;
-        defaults to ``ResiliencePolicy.for_model(fault_model)``.
+        :class:`~repro.system.healing.ResilientDGDServer`, whose healing
+        rules the model determines; a null model reproduces the
+        synchronous execution bit-for-bit.
     checkpoint_path:
         Optional path for atomic, checksummed mid-run checkpoints (the
         :mod:`repro.utils.atomicio` discipline). When the file already
@@ -107,7 +105,6 @@ class DGDConfig:
     box_half_width: float = 1000.0
     crash_rounds: Optional[Dict[int, int]] = None
     fault_model: Optional[NetworkFaultModel] = None
-    resilience: Optional[ResiliencePolicy] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 25
 
@@ -293,7 +290,9 @@ def run_dgd(
         raise InvalidParameterError("faulty agents configured but no behavior given")
 
     master = ensure_rng(config.seed)
-    adversary_rng, network_rng = spawn_rngs(master, 2)
+    # The second stream is not read. Spawning both keeps each seed's
+    # adversary stream fixed; run_dgd_batch derives it the same way.
+    adversary_rng, _ = spawn_rngs(master, 2)
 
     gradient_filter = config.gradient_filter
     if isinstance(gradient_filter, str):
@@ -339,11 +338,7 @@ def run_dgd(
     if tel:
         tel.annotate(byzantine_ids=faulty_ids + sorted(crash_rounds))
 
-    if (
-        config.fault_model is not None
-        or config.resilience is not None
-        or config.checkpoint_path is not None
-    ):
+    if config.fault_model is not None or config.checkpoint_path is not None:
         return _run_partially_synchronous(
             config=config,
             tel=tel,
@@ -362,7 +357,7 @@ def run_dgd(
             round_hook=round_hook,
         )
 
-    network = SynchronousNetwork(rng=network_rng, log_capacity=config.log_capacity)
+    network = SynchronousNetwork(log_capacity=config.log_capacity)
     server = DGDServer.with_fixed_filter(
         gradient_filter, step_sizes, projection, x0, n=n, f=f, telemetry=tel
     )
@@ -418,7 +413,7 @@ def run_dgd(
 
 
 #: Checkpoint document version; bumped when the schema changes shape.
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def _extend_hex_rows(rows: List[List[str]], matrix: np.ndarray, stop: int) -> List[List[str]]:
@@ -446,14 +441,13 @@ def _checkpoint_fingerprint(
     crash_rounds: Dict[int, int],
     filter_name: str,
     model: NetworkFaultModel,
-    policy: ResiliencePolicy,
     adversary: Optional[Adversary],
 ) -> Dict:
     """Identity of a run for checkpoint-compatibility purposes.
 
     Everything that shapes the trajectory is included: the fault model's
-    profiles and ``reorder`` flag, the resolved resilience policy and the
-    attack, besides the instance, seed, filter and faulty placement.
+    profiles (which also fix its healing rules) and ``reorder`` flag and
+    the attack, besides the instance, seed, filter and faulty placement.
     Iteration count is deliberately excluded: resuming a 30-round
     checkpoint into a 60-round run is legitimate (and tested).
     """
@@ -471,7 +465,6 @@ def _checkpoint_fingerprint(
             for agent_id, profile in sorted(model.profiles.items())
         },
         "reorder": bool(model.reorder),
-        "resilience": asdict(policy),
         "behavior": None if adversary is None else type(adversary.behavior).__name__,
     }
 
@@ -570,17 +563,12 @@ def _run_partially_synchronous(
     """The degraded-network execution loop (see :func:`run_dgd`).
 
     Network fault draws are pure functions of the model seed, the server
-    is the self-healing :class:`ResilientDGDServer`, and — when a
-    checkpoint path is configured — the full run state (server, in-flight
-    queue, adversary RNG, crash flags, trajectory prefix) checkpoints
-    atomically and resumes bit-identically.
+    is the self-healing :class:`ResilientDGDServer` under the model's
+    healing rules, and — when a checkpoint path is configured — the full
+    run state (server, in-flight queue, adversary RNG, crash flags,
+    trajectory prefix) checkpoints atomically and resumes bit-identically.
     """
     model = config.fault_model if config.fault_model is not None else NetworkFaultModel()
-    policy = (
-        config.resilience
-        if config.resilience is not None
-        else ResiliencePolicy.for_model(model)
-    )
     filter_name = getattr(gradient_filter, "name", type(gradient_filter).__name__)
     network = PartiallySynchronousNetwork(model, log_capacity=config.log_capacity)
     server = ResilientDGDServer(
@@ -591,7 +579,7 @@ def _run_partially_synchronous(
         n=n,
         f=f,
         telemetry=tel,
-        policy=policy,
+        fault_model=model,
     )
 
     iterations = config.iterations
@@ -602,7 +590,7 @@ def _run_partially_synchronous(
     start_round = 0
     fingerprint = _checkpoint_fingerprint(
         config, n, f, dimension, faulty_ids, crash_rounds, filter_name,
-        model, policy, adversary,
+        model, adversary,
     )
     # The hex rows of the trajectory already written to a checkpoint.
     estimate_rows: List[List[str]] = []

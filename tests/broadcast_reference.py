@@ -6,10 +6,12 @@ Frozen copies of the straightforward simulator that
 broadcast queues one ``(recipient, message)`` pair per point-to-point
 message and hashes the value at every honest recipient, and the
 peer-to-peer loop computes each honest gradient twice per round (once
-for the attack context, once as the broadcast payload). The optimized
-code delivers the same messages in the same order, so
-``tests/test_broadcast_reference.py`` requires the two to agree byte for
-byte. Keep this module unchanged when the simulator changes.
+for the attack context, once as the broadcast payload). Under a fault
+model it degrades the agreed rows through the frozen overlay and policy
+of :mod:`tests.healing_reference`. The optimized code delivers the same
+messages in the same order, so ``tests/test_broadcast_reference.py``
+requires the two to agree byte for byte. Keep this module unchanged when
+the simulator changes.
 """
 
 from __future__ import annotations
@@ -32,11 +34,14 @@ from repro.system.broadcast import (
     EquivocatingSender,
     SignedMessage,
 )
-from repro.system.healing import ResiliencePolicy
 from repro.system.netfaults import NetworkFaultModel
-from repro.system.peer_to_peer import PeerExecutionResult, _degrade_agreed_rows
+from repro.system.peer_to_peer import PeerExecutionResult
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_fault_bound, check_vector
+from tests.healing_reference import (
+    ReferenceResiliencePolicy,
+    reference_degrade_agreed_rows,
+)
 
 
 def _key(value: np.ndarray) -> bytes:
@@ -164,7 +169,6 @@ def reference_run_peer_to_peer_dgd(
     equivocate: bool = True,
     telemetry: TelemetryLike = None,
     fault_model: Optional[NetworkFaultModel] = None,
-    resilience: Optional["ResiliencePolicy"] = None,
 ) -> PeerExecutionResult:
     """Peer-to-peer filtered DGD over :func:`reference_byzantine_broadcast`."""
     costs = list(costs)
@@ -196,7 +200,7 @@ def reference_run_peer_to_peer_dgd(
     estimates[0] = local[honest[0]]
     broadcast_messages = 0
 
-    policy: Optional[ResiliencePolicy] = None
+    policy: Optional[ReferenceResiliencePolicy] = None
     in_flight: List = []
     last_agreed: Dict[int, tuple] = {}
     overlay_counters = {
@@ -208,11 +212,7 @@ def reference_run_peer_to_peer_dgd(
         "zero_filled": 0,
     }
     if fault_model is not None:
-        policy = (
-            resilience
-            if resilience is not None
-            else ResiliencePolicy.for_model(fault_model)
-        )
+        policy = ReferenceResiliencePolicy.for_model(fault_model)
 
     tel = ensure_telemetry(telemetry)
     if tel:
@@ -263,7 +263,7 @@ def reference_run_peer_to_peer_dgd(
                         delivered_rows.append(np.zeros(dimension) if agreed is None else agreed)
 
                 if fault_model is not None:
-                    delivered_rows = _degrade_agreed_rows(
+                    delivered_rows = reference_degrade_agreed_rows(
                         delivered_rows,
                         t,
                         fault_model,

@@ -10,12 +10,17 @@ engine hoists that round-invariant work out of the loop without
 reordering any arithmetic, so ``tests/test_decentralized_reference.py``
 requires the two to agree byte for byte. Keep this module unchanged when
 the engine changes.
+
+The healing rules it applies are its own frozen copies too: the policy
+``ResiliencePolicy.for_link_model`` derives (from
+:mod:`tests.healing_reference`) and the per-edge liveness tracker
+``NeighborhoodLiveness`` with its suspicion threshold as a parameter.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from repro.system.decentralized import (
     DecentralizedExecutionResult,
 )
 from repro.system.faultinjection import deterministic_draw_array
-from repro.system.healing import NeighborhoodLiveness, ResiliencePolicy
 from repro.system.netfaults import (
     CORRUPTION_MODES,
     LinkFaultModel,
@@ -39,6 +43,7 @@ from repro.system.netfaults import (
 )
 from repro.system.topology import Topology
 from repro.utils.rng import SeedLike, ensure_rng
+from tests.healing_reference import ReferenceResiliencePolicy
 
 # The draw-domain tags of repro.system.netfaults.
 _LINK_TAG_DROP = 101
@@ -133,6 +138,72 @@ def reference_draw_link_faults(
     return {"dropped": dropped, "delay": delay, "corrupt": corrupt}
 
 
+class ReferenceNeighborhoodLiveness:
+    """``NeighborhoodLiveness`` with a settable suspicion threshold."""
+
+    def __init__(
+        self,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        suspicion_threshold: int,
+    ):
+        if suspicion_threshold < 1:
+            raise InvalidParameterError(
+                f"suspicion_threshold must be >= 1, got {suspicion_threshold}"
+            )
+        self._senders = np.asarray(senders, dtype=np.int64).copy()
+        self._receivers = np.asarray(receivers, dtype=np.int64).copy()
+        if self._senders.shape != self._receivers.shape or self._senders.ndim != 1:
+            raise InvalidParameterError(
+                "senders and receivers must be 1-D arrays of equal length"
+            )
+        self._threshold = int(suspicion_threshold)
+        self._misses = np.zeros(self._senders.shape[0], dtype=np.int64)
+        self._last_seen = np.full(self._senders.shape[0], -1, dtype=np.int64)
+        self._suspected = np.zeros(self._senders.shape[0], dtype=bool)
+        self._last_newly = np.zeros(self._senders.shape[0], dtype=bool)
+        self._last_reinstated = np.zeros(self._senders.shape[0], dtype=bool)
+        self.reinstatements = 0
+
+    def suspected_edges(self) -> List[Tuple[int, int]]:
+        index = np.flatnonzero(self._suspected)
+        return sorted(
+            (int(self._senders[i]), int(self._receivers[i])) for i in index
+        )
+
+    def observe(self, round_index: int, delivered: np.ndarray) -> Tuple[int, int]:
+        delivered = np.asarray(delivered, dtype=bool)
+        if delivered.shape != self._senders.shape:
+            raise InvalidParameterError(
+                f"delivered must have shape {self._senders.shape}, "
+                f"got {delivered.shape}"
+            )
+        reinstated_mask = delivered & self._suspected
+        reinstated = int(reinstated_mask.sum())
+        self._misses = np.where(delivered, 0, self._misses + 1)
+        self._last_seen = np.where(delivered, int(round_index), self._last_seen)
+        now_suspected = self._misses >= self._threshold
+        newly_mask = now_suspected & ~self._suspected
+        newly = int(newly_mask.sum())
+        self._last_newly = newly_mask
+        self._last_reinstated = reinstated_mask
+        self._suspected = now_suspected
+        self.reinstatements += reinstated
+        return newly, reinstated
+
+    def _edges_of(self, mask: np.ndarray) -> List[Tuple[int, int]]:
+        index = np.flatnonzero(mask)
+        return sorted(
+            (int(self._senders[i]), int(self._receivers[i])) for i in index
+        )
+
+    def last_newly_suspected_edges(self) -> List[Tuple[int, int]]:
+        return self._edges_of(self._last_newly)
+
+    def last_reinstated_edges(self) -> List[Tuple[int, int]]:
+        return self._edges_of(self._last_reinstated)
+
+
 def _quadratic_gradient_stack(costs: Sequence[CostFunction]):
     if not all(isinstance(c, QuadraticCost) for c in costs):
         return None
@@ -170,7 +241,6 @@ def reference_run_decentralized_dgd(
     seed: SeedLike = 0,
     telemetry: TelemetryLike = None,
     link_faults: Optional[LinkFaultModel] = None,
-    resilience: Optional[ResiliencePolicy] = None,
     record_states: bool = False,
     validate_feasibility: bool = True,
 ) -> DecentralizedExecutionResult:
@@ -225,13 +295,11 @@ def reference_run_decentralized_dgd(
 
     model = link_faults
     faulted = model is not None and not model.is_null
-    policy = resilience
-    if policy is None:
-        policy = (
-            ResiliencePolicy.for_link_model(model)
-            if model is not None
-            else ResiliencePolicy(max_staleness=0)
-        )
+    policy = (
+        ReferenceResiliencePolicy.for_link_model(model)
+        if model is not None
+        else ReferenceResiliencePolicy(max_staleness=0)
+    )
 
     nbr, valid = topology.neighbor_matrix()
     receivers, slots = np.nonzero(valid)
@@ -240,7 +308,9 @@ def reference_run_decentralized_dgd(
         reference_edge_parameters(model, senders, receivers) if faulted else None
     )
     liveness = (
-        NeighborhoodLiveness(senders, receivers, policy.suspicion_threshold)
+        ReferenceNeighborhoodLiveness(
+            senders, receivers, policy.suspicion_threshold
+        )
         if faulted
         else None
     )

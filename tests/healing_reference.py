@@ -12,15 +12,26 @@ optimizes:
 - ``write_json_atomic``, which streams the document through ``json.dump``;
 - the checkpoint writer, which re-encodes the whole trajectory prefix
   every time, under the fingerprint of the instance, seed, filter,
-  placement and fault seed only;
+  placement and fault seed only, and the version-1 checkpoint reader;
+- the healing policy object ``ResiliencePolicy``, the per-agent
+  ``LivenessTracker`` and the ``ResilientDGDServer`` built on them
+  (``ReferenceResiliencePolicy``, ``ReferenceLivenessTracker``,
+  ``ReferenceResilientDGDServer``);
 - the peer-to-peer fault overlay ``_degrade_agreed_rows``;
 - the two ``run_dgd`` loops that drive them.
 
-Everything else (servers, agents, adversary, filters, the checkpoint
-reader) is the production code. ``tests/test_healing_reference.py``
-requires the optimized simulator to agree with these byte for byte. Keep
-this module unchanged when the simulator changes; a change that merges the
-server loops can run these loops as its oracle.
+Everything else (the synchronous server, agents, adversary, filters) is
+the production code. ``tests/test_healing_reference.py`` requires the
+simulator to agree with these byte for byte. Keep this module unchanged
+when the simulator changes; a change that merges the server loops can run
+these loops as its oracle.
+
+The frozen server differs from the verbatim copy in one way only: three
+of its decisions sit in small methods (``_spoke``, ``_observe_liveness``
+and ``_quorum``) that return exactly what the inline code did.
+:class:`FixedRulesReferenceServer` overrides them with the two rules
+fixed since the copy was made, so the configurations those fixes change
+can still be checked byte for byte.
 """
 
 from __future__ import annotations
@@ -32,21 +43,36 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
 from repro.aggregators.base import GradientFilter
 from repro.aggregators.registry import make_filter
 from repro.attacks.base import ByzantineBehavior
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import (
+    CacheIntegrityError,
+    InvalidParameterError,
+    ProtocolViolationError,
+)
 from repro.observability import TelemetryLike, ensure_telemetry
 from repro.optimization.cost_functions import CostFunction
 from repro.optimization.projections import BoxSet, ConvexSet
 from repro.optimization.step_sizes import StepSizeSchedule
 from repro.system.adversary import Adversary
 from repro.system.agents import Agent, CrashAgent, HonestAgent
-from repro.system.healing import ResiliencePolicy, ResilientDGDServer
+from repro.system.healing import RoundInbox
 from repro.system.messages import (
     SERVER_ID,
     EstimateBroadcast,
@@ -63,11 +89,15 @@ from repro.system.runner import (
     DGDConfig,
     Trace,
     _default_schedule,
-    _load_checkpoint,
     apply_config_overrides,
 )
-from repro.system.server import DGDServer, fixed_filter_factory
-from repro.utils.atomicio import CHECKSUM_KEY, PAYLOAD_KEY, payload_checksum
+from repro.system.server import DGDServer, FilterFactory, fixed_filter_factory
+from repro.utils.atomicio import (
+    CHECKSUM_KEY,
+    PAYLOAD_KEY,
+    payload_checksum,
+    read_json_checked,
+)
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import check_probability, check_vector
 
@@ -547,7 +577,7 @@ def reference_write_checkpoint(
     path: str,
     fingerprint: Dict,
     completed_rounds: int,
-    server: ResilientDGDServer,
+    server: ReferenceResilientDGDServer,
     network: ReferencePartiallySynchronousNetwork,
     adversary: Optional[Adversary],
     agents: Dict[int, Agent],
@@ -575,6 +605,428 @@ def reference_write_checkpoint(
     reference_write_json_atomic(path, payload)
 
 
+def reference_load_checkpoint(
+    path: str, fingerprint: Dict, iterations: int
+) -> Optional[Dict]:
+    if not os.path.exists(path):
+        return None
+    try:
+        payload = read_json_checked(path, require_checksum=True)
+    except CacheIntegrityError as exc:
+        warnings.warn(
+            f"ignoring corrupt checkpoint {path}: {exc}", stacklevel=3
+        )
+        return None
+    if payload.get("version") != _CHECKPOINT_VERSION:
+        warnings.warn(
+            f"ignoring checkpoint {path} with version "
+            f"{payload.get('version')!r} (expected {_CHECKPOINT_VERSION})",
+            stacklevel=3,
+        )
+        return None
+    if payload.get("fingerprint") != fingerprint:
+        warnings.warn(
+            f"ignoring checkpoint {path}: it belongs to a different "
+            "configuration",
+            stacklevel=3,
+        )
+        return None
+    if payload["round"] > iterations:
+        warnings.warn(
+            f"ignoring checkpoint {path}: it is {payload['round']} rounds "
+            f"deep but the run only has {iterations}",
+            stacklevel=3,
+        )
+        return None
+    return payload
+
+
+# ----------------------------------------------------------------------
+# The healing policy, the per-agent liveness tracker and the server
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceResiliencePolicy:
+    """``ResiliencePolicy``: the healing rules as one settable object."""
+
+    max_staleness: int = 1
+    suspicion_threshold: int = 2
+    eliminate_on_silence: bool = True
+    eliminate_on_conflict: bool = False
+    quarantine_non_finite: bool = True
+
+    def __post_init__(self):
+        if self.max_staleness < 0:
+            raise InvalidParameterError(
+                f"max_staleness must be >= 0, got {self.max_staleness}"
+            )
+        if self.suspicion_threshold < 1:
+            raise InvalidParameterError(
+                f"suspicion_threshold must be >= 1, got {self.suspicion_threshold}"
+            )
+
+    @classmethod
+    def for_model(
+        cls, model: NetworkFaultModel, **overrides
+    ) -> "ReferenceResiliencePolicy":
+        defaults = dict(
+            max_staleness=model.staleness_bound(),
+            eliminate_on_silence=model.preserves_synchrony,
+            quarantine_non_finite=any(
+                p.corrupt_prob > 0 for p in model.profiles.values()
+            ),
+        )
+        defaults.update(overrides)
+        return cls(**defaults)
+
+    @classmethod
+    def for_link_model(cls, model, **overrides) -> "ReferenceResiliencePolicy":
+        defaults = dict(
+            max_staleness=model.staleness_bound(),
+            eliminate_on_silence=model.is_null,
+        )
+        defaults.update(overrides)
+        return cls(**defaults)
+
+
+class ReferenceLivenessTracker:
+    """``LivenessTracker``: per-agent misses, suspicion and reinstatement."""
+
+    def __init__(self, agent_ids: Iterable[int], suspicion_threshold: int):
+        if suspicion_threshold < 1:
+            raise InvalidParameterError(
+                f"suspicion_threshold must be >= 1, got {suspicion_threshold}"
+            )
+        self._threshold = int(suspicion_threshold)
+        self._misses: Dict[int, int] = {int(i): 0 for i in agent_ids}
+        self._last_seen: Dict[int, int] = {int(i): -1 for i in agent_ids}
+        self._suspected: Set[int] = set()
+        self.reinstatements = 0
+
+    @property
+    def suspicion_threshold(self) -> int:
+        return self._threshold
+
+    @property
+    def suspected(self) -> List[int]:
+        return sorted(self._suspected)
+
+    def consecutive_misses(self, agent_id: int) -> int:
+        return self._misses.get(int(agent_id), 0)
+
+    def last_seen(self, agent_id: int) -> int:
+        return self._last_seen.get(int(agent_id), -1)
+
+    def forget(self, agent_id: int) -> None:
+        agent_id = int(agent_id)
+        self._misses.pop(agent_id, None)
+        self._last_seen.pop(agent_id, None)
+        self._suspected.discard(agent_id)
+
+    def observe(
+        self, round_index: int, responders: Iterable[int]
+    ) -> Tuple[List[int], List[int]]:
+        responded = {int(i) for i in responders}
+        newly_suspected: List[int] = []
+        reinstated: List[int] = []
+        for agent_id in self._misses:
+            if agent_id in responded:
+                self._misses[agent_id] = 0
+                self._last_seen[agent_id] = int(round_index)
+                if agent_id in self._suspected:
+                    self._suspected.remove(agent_id)
+                    self.reinstatements += 1
+                    reinstated.append(agent_id)
+            else:
+                self._misses[agent_id] += 1
+                if (
+                    self._misses[agent_id] >= self._threshold
+                    and agent_id not in self._suspected
+                ):
+                    self._suspected.add(agent_id)
+                    newly_suspected.append(agent_id)
+        return sorted(newly_suspected), sorted(reinstated)
+
+    def state(self) -> Dict:
+        return {
+            "threshold": self._threshold,
+            "misses": {str(k): v for k, v in self._misses.items()},
+            "last_seen": {str(k): v for k, v in self._last_seen.items()},
+            "suspected": sorted(self._suspected),
+            "reinstatements": self.reinstatements,
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        self._threshold = int(state["threshold"])
+        self._misses = {int(k): int(v) for k, v in state["misses"].items()}
+        self._last_seen = {int(k): int(v) for k, v in state["last_seen"].items()}
+        self._suspected = set(int(i) for i in state["suspected"])
+        self.reinstatements = int(state["reinstatements"])
+
+
+class ReferenceResilientDGDServer(DGDServer):
+    """``ResilientDGDServer`` driven by a :class:`ReferenceResiliencePolicy`."""
+
+    def __init__(
+        self,
+        filter_factory: FilterFactory,
+        step_sizes: StepSizeSchedule,
+        projection: ConvexSet,
+        x0,
+        n: int,
+        f: int,
+        telemetry: TelemetryLike = None,
+        policy: Optional[ReferenceResiliencePolicy] = None,
+    ):
+        super().__init__(
+            filter_factory, step_sizes, projection, x0, n, f, telemetry=telemetry
+        )
+        self._policy = policy if policy is not None else ReferenceResiliencePolicy()
+        self._dimension = int(self._estimate.shape[0])
+        self._inbox = RoundInbox()
+        self._liveness = ReferenceLivenessTracker(
+            range(n), self._policy.suspicion_threshold
+        )
+        self._stale_reuses = 0
+        self._stalled_rounds = 0
+        self._ignored_messages = 0
+
+    @property
+    def policy(self) -> ReferenceResiliencePolicy:
+        return self._policy
+
+    @property
+    def inbox(self) -> RoundInbox:
+        return self._inbox
+
+    @property
+    def liveness(self) -> ReferenceLivenessTracker:
+        return self._liveness
+
+    @property
+    def suspected_agents(self) -> List[int]:
+        return self._liveness.suspected
+
+    @property
+    def stale_reuses(self) -> int:
+        return self._stale_reuses
+
+    @property
+    def stalled_rounds(self) -> int:
+        return self._stalled_rounds
+
+    @property
+    def quarantined_payloads(self) -> int:
+        return self._inbox.quarantined_total
+
+    def resilience_summary(self) -> Dict:
+        return {
+            "stale_reuses": self._stale_reuses,
+            "stalled_rounds": self._stalled_rounds,
+            "quarantined_payloads": self._inbox.quarantined_total,
+            "quarantined_by_agent": self._inbox.quarantined_by_agent,
+            "conflicts_by_agent": self._inbox.conflicts_by_agent,
+            "suspected": self._liveness.suspected,
+            "reinstatements": self._liveness.reinstatements,
+            "ignored_messages": self._ignored_messages,
+            "eliminated": list(self._eliminated),
+        }
+
+    def eliminate_provably_faulty(self, agent_ids: Sequence[int]) -> List[int]:
+        guilty = sorted(set(int(i) for i in agent_ids) & self._active)
+        if not guilty:
+            return []
+        if len(guilty) > self._f:
+            raise ProtocolViolationError(
+                f"{len(guilty)} provably faulty agents exceed fault budget {self._f}"
+            )
+        for agent_id in guilty:
+            self._active.remove(agent_id)
+            self._eliminated.append(agent_id)
+            self._liveness.forget(agent_id)
+        self._n -= len(guilty)
+        self._f -= len(guilty)
+        self._filter = self._filter_factory(self._n, self._f)
+        if self._telemetry:
+            self._telemetry.emit(
+                "conflict_elimination",
+                round=self._round,
+                agents=guilty,
+                n=self._n,
+                f=self._f,
+            )
+        return guilty
+
+    # The three seams; each returns what the inline code computed.
+
+    def _spoke(self, fresh: Set[int], quarantined_fresh: Set[int]) -> Set[int]:
+        """The responders silence elimination spares."""
+        return fresh
+
+    def _observe_liveness(
+        self, round_index: int, fresh: Set[int]
+    ) -> Tuple[List[int], List[int]]:
+        return self._liveness.observe(round_index, fresh)
+
+    def _quorum(self) -> int:
+        return self._f + 1
+
+    def step_partial(self, messages: Sequence[GradientMessage]) -> np.ndarray:
+        r = self._round
+        policy = self._policy
+        quarantined_now: List[int] = []
+        quarantined_fresh: Set[int] = set()
+        conflicted_now: List[int] = []
+        for message in messages:
+            if not isinstance(message, GradientMessage):
+                raise ProtocolViolationError(
+                    f"server inbox received a {type(message).__name__}"
+                )
+            if message.round_index > r:
+                raise ProtocolViolationError(
+                    f"message from agent {message.sender} claims future round "
+                    f"{message.round_index}, server is in round {r}"
+                )
+            if message.sender not in self._active:
+                self._ignored_messages += 1
+                continue
+            status = self._inbox.offer(
+                message,
+                dimension=self._dimension,
+                quarantine_non_finite=policy.quarantine_non_finite,
+            )
+            if status == RoundInbox.QUARANTINED:
+                quarantined_now.append(message.sender)
+                if message.round_index == r:
+                    quarantined_fresh.add(message.sender)
+            elif status == RoundInbox.CONFLICT:
+                conflicted_now.append(message.sender)
+
+        if policy.eliminate_on_conflict and conflicted_now:
+            self.eliminate_provably_faulty(conflicted_now)
+
+        fresh = self._inbox.fresh_senders(r) & self._active
+        if policy.eliminate_on_silence:
+            for eliminated in self.eliminate_silent(
+                sorted(self._spoke(fresh, quarantined_fresh))
+            ):
+                self._liveness.forget(eliminated)
+        newly_suspected, reinstated = self._observe_liveness(r, fresh)
+
+        ordered: List[GradientMessage] = []
+        stale_reused: List[int] = []
+        missing: List[int] = []
+        for agent_id in sorted(self._active):
+            found = self._inbox.latest(agent_id, r, policy.max_staleness)
+            if found is None:
+                missing.append(agent_id)
+                continue
+            found_round, message = found
+            if found_round < r:
+                stale_reused.append(agent_id)
+            ordered.append(message)
+        self._stale_reuses += len(stale_reused)
+
+        quorum = self._quorum()
+        k = len(ordered)
+        if k < quorum:
+            self._stalled_rounds += 1
+            self._last_direction = np.zeros(self._dimension)
+            if self._telemetry:
+                self._telemetry.emit(
+                    "stalled", round=r, responders=k, quorum=quorum
+                )
+            self._round += 1
+        else:
+            gradient_filter = (
+                self._filter if k == self._n else self._filter_factory(k, self._f)
+            )
+            self._filtered_update(ordered, gradient_filter)
+
+        if self._telemetry and (
+            stale_reused or quarantined_now or newly_suspected or reinstated or missing
+        ):
+            self._telemetry.record_liveness(
+                round_index=r,
+                fresh=sorted(fresh & self._active),
+                stale_reused=stale_reused,
+                quarantined=sorted(quarantined_now),
+                suspected=newly_suspected,
+                reinstated=reinstated,
+                missing=missing,
+            )
+        self._inbox.prune(self._round - policy.max_staleness)
+        return self.estimate
+
+    def checkpoint(self) -> Dict:
+        return {
+            "round": self._round,
+            "estimate": [float(v).hex() for v in self._estimate],
+            "last_direction": (
+                None
+                if self._last_direction is None
+                else [float(v).hex() for v in self._last_direction]
+            ),
+            "n": self._n,
+            "f": self._f,
+            "active": sorted(self._active),
+            "eliminated": list(self._eliminated),
+            "inbox": self._inbox.state(),
+            "liveness": self._liveness.state(),
+            "counters": {
+                "stale_reuses": self._stale_reuses,
+                "stalled_rounds": self._stalled_rounds,
+                "ignored_messages": self._ignored_messages,
+            },
+        }
+
+    def restore(self, state: Dict) -> None:
+        self._round = int(state["round"])
+        self._estimate = np.array([float.fromhex(v) for v in state["estimate"]])
+        self._last_direction = (
+            None
+            if state["last_direction"] is None
+            else np.array([float.fromhex(v) for v in state["last_direction"]])
+        )
+        self._n = int(state["n"])
+        self._f = int(state["f"])
+        self._active = set(int(i) for i in state["active"])
+        self._eliminated = [int(i) for i in state["eliminated"]]
+        self._inbox.restore_state(state["inbox"])
+        self._liveness.restore_state(state["liveness"])
+        counters = state["counters"]
+        self._stale_reuses = int(counters["stale_reuses"])
+        self._stalled_rounds = int(counters["stalled_rounds"])
+        self._ignored_messages = int(counters["ignored_messages"])
+        self._filter = self._filter_factory(self._n, self._f)
+
+
+class FixedRulesReferenceServer(ReferenceResilientDGDServer):
+    """The frozen server under the two rules fixed since it was copied.
+
+    - Where silence eliminates, a sender whose current-round payload was
+      quarantined has spoken: the network damaged its reply, it did not
+      withhold one. Liveness is then tracked only where silence does not
+      eliminate, the one regime where an agent can be suspected.
+    - A round stalls below ``max(f + 1, minimum_inputs())`` of its
+      filter instead of handing the filter fewer rows than it needs.
+    """
+
+    def _spoke(self, fresh: Set[int], quarantined_fresh: Set[int]) -> Set[int]:
+        return fresh | quarantined_fresh
+
+    def _observe_liveness(
+        self, round_index: int, fresh: Set[int]
+    ) -> Tuple[List[int], List[int]]:
+        if self._policy.eliminate_on_silence:
+            return [], []
+        return super()._observe_liveness(round_index, fresh)
+
+    def _quorum(self) -> int:
+        return max(self._f + 1, self._filter.minimum_inputs())
+
+
 # ----------------------------------------------------------------------
 # The peer-to-peer fault overlay
 # ----------------------------------------------------------------------
@@ -584,7 +1036,7 @@ def reference_degrade_agreed_rows(
     rows: List[np.ndarray],
     t: int,
     model: NetworkFaultModel,
-    policy: ResiliencePolicy,
+    policy: ReferenceResiliencePolicy,
     in_flight: List,
     last_agreed: Dict[int, tuple],
     counters: Dict[str, int],
@@ -666,9 +1118,14 @@ def reference_run_dgd(
     config: Optional[DGDConfig] = None,
     telemetry: TelemetryLike = None,
     round_hook: Optional[Callable[[int, DGDServer], None]] = None,
+    server_class: Type[ReferenceResilientDGDServer] = ReferenceResilientDGDServer,
     **config_overrides,
 ) -> Trace:
-    """``run_dgd`` over the reference networks and checkpoint writer."""
+    """``run_dgd`` over the reference networks, checkpoints and server.
+
+    ``server_class`` picks the frozen server or its fixed-rules variant
+    for the self-healing loop.
+    """
     if config is None:
         config = DGDConfig()
     config = apply_config_overrides(config, config_overrides)
@@ -747,11 +1204,7 @@ def reference_run_dgd(
     if tel:
         tel.annotate(byzantine_ids=faulty_ids + sorted(crash_rounds))
 
-    if (
-        config.fault_model is not None
-        or config.resilience is not None
-        or config.checkpoint_path is not None
-    ):
+    if config.fault_model is not None or config.checkpoint_path is not None:
         return _reference_run_partially_synchronous(
             config=config,
             tel=tel,
@@ -768,6 +1221,7 @@ def reference_run_dgd(
             f=f,
             dimension=dimension,
             round_hook=round_hook,
+            server_class=server_class,
         )
 
     network = ReferenceSynchronousNetwork(rng=network_rng, log_capacity=config.log_capacity)
@@ -842,16 +1296,13 @@ def _reference_run_partially_synchronous(
     f: int,
     dimension: int,
     round_hook: Optional[Callable[[int, DGDServer], None]],
+    server_class: Type[ReferenceResilientDGDServer],
 ) -> Trace:
     model = config.fault_model if config.fault_model is not None else NetworkFaultModel()
-    policy = (
-        config.resilience
-        if config.resilience is not None
-        else ResiliencePolicy.for_model(model)
-    )
+    policy = ReferenceResiliencePolicy.for_model(model)
     filter_name = getattr(gradient_filter, "name", type(gradient_filter).__name__)
     network = ReferencePartiallySynchronousNetwork(model, log_capacity=config.log_capacity)
-    server = ResilientDGDServer(
+    server = server_class(
         fixed_filter_factory(gradient_filter),
         step_sizes,
         projection,
@@ -876,7 +1327,9 @@ def _reference_run_partially_synchronous(
             raise InvalidParameterError(
                 f"checkpoint_every must be positive, got {config.checkpoint_every}"
             )
-        saved = _load_checkpoint(config.checkpoint_path, fingerprint, iterations)
+        saved = reference_load_checkpoint(
+            config.checkpoint_path, fingerprint, iterations
+        )
         if saved is not None:
             server.restore(saved["server"])
             network.restore_state(saved["network"])

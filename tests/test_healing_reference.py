@@ -4,12 +4,21 @@
 joins each message's fault-draw key once; both networks log plain rows
 and build ``DeliveryRecord`` objects when the log is read; checkpoints
 hex only the trajectory rows added since the last one and are encoded in
-one ``json.dumps`` call. None of that may change an output, so every run
-here must equal :mod:`tests.healing_reference` byte for byte: the
-trajectory, the traffic counters, ``extra``, the telemetry records, the
-delivery log and every checkpoint document written. Checkpoint
-fingerprints also name the fault profiles, ``reorder``, the resilience
-policy and the attack; those keys are removed before comparing.
+one ``json.dumps`` call; the server reads its healing rules off the fault
+model and tracks liveness per agent→server edge. None of that may change
+an output, so every run here must equal :mod:`tests.healing_reference`
+byte for byte: the trajectory, the traffic counters, ``extra``, the
+telemetry records, the delivery log and every checkpoint document
+written. Checkpoint fingerprints also name the fault profiles,
+``reorder`` and the attack; those keys are removed before comparing, and
+the reference documents are translated to the current checkpoint version
+(:func:`_translate`).
+
+Two rules were fixed after the reference was frozen: a quarantined
+payload is not silence, and a round stalls below its filter's minimum
+input count. Every run is therefore compared with the frozen server under
+the fixed rules (``FixedRulesReferenceServer``), and that one with the
+frozen server as it was wherever neither fix applies.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import os
 import sys
 import tempfile
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,12 +46,13 @@ from repro.system.faultinjection import (
     deterministic_choice,
     deterministic_draw,
 )
-from repro.system.healing import ResiliencePolicy
 from repro.system.netfaults import CORRUPTION_MODES, FaultProfile, NetworkFaultModel
 from repro.system.peer_to_peer import _degrade_agreed_rows
 from repro.system.runner import run_dgd
 from repro.utils.atomicio import read_json_checked
 from tests.healing_reference import (
+    FixedRulesReferenceServer,
+    ReferenceResiliencePolicy,
     reference_degrade_agreed_rows,
     reference_deterministic_choice,
     reference_deterministic_draw,
@@ -49,7 +60,7 @@ from tests.healing_reference import (
 )
 
 #: The fingerprint keys the reference checkpoints do not carry.
-NEW_FINGERPRINT_KEYS = ("fault_profiles", "reorder", "resilience", "behavior")
+NEW_FINGERPRINT_KEYS = ("fault_profiles", "reorder", "behavior")
 #: The tags the per-agent and peer-to-peer overlays draw under.
 OVERLAY_TAGS = ("drop", "delay", "delay-len", "corrupt", "dup", "dup-delay")
 ATTACKS = {
@@ -98,8 +109,9 @@ def _run(runner, costs, behavior, kwargs, path=None):
     return outcome, telemetry, documents, [str(w.message) for w in caught]
 
 
-def _records(telemetry):
-    """Telemetry records without their timings and checkpoint paths."""
+def _records(telemetry, stalled_quorum=True):
+    """Telemetry records without their timings and checkpoint paths (and,
+    unless ``stalled_quorum``, without the quorum a stall names)."""
     out = []
     for record in telemetry.records:
         record = dict(record)
@@ -107,6 +119,8 @@ def _records(telemetry):
             record = {"event": "span", "name": record["name"]}
         if record["event"] == "resume":
             record["path"] = os.path.basename(record["path"])
+        if record["event"] == "stalled" and not stalled_quorum:
+            record.pop("quorum")
         out.append(record)
     return out
 
@@ -116,6 +130,62 @@ def _strip(document):
     for key in NEW_FINGERPRINT_KEYS:
         document["fingerprint"].pop(key)
     return document
+
+
+def _frozen_policy(kwargs):
+    """The policy the reference derives for a configuration's model."""
+    model = kwargs.get("fault_model")
+    return ReferenceResiliencePolicy.for_model(
+        NetworkFaultModel() if model is None else model
+    )
+
+
+def _translate(document, tracked):
+    """A reference checkpoint document in the form the simulator writes.
+
+    The server's ``liveness`` block changed shape, so the version went
+    from 1 to 2:
+
+    - Where silence eliminates (``tracked`` false) the server tracks no
+      liveness and writes ``null``. The reference tracker there only saw
+      agents that answered, since a silent one is eliminated at once, so
+      its block must hold no misses, no suspicion and no reinstatement;
+      that is checked before the block is dropped.
+    - Elsewhere no agent is ever eliminated and the block is the per-edge
+      state of the ``n`` agent→server edges: the per-agent maps become
+      lists indexed by agent, the suspected ids a boolean mask, and the
+      threshold (a constant now) is dropped. This part is exact.
+    """
+    document = json.loads(json.dumps(document))
+    assert document["version"] == 1
+    document["version"] = 2
+    server = document["server"]
+    block = server["liveness"]
+    if not tracked:
+        assert not any(block["misses"].values()), block
+        assert block["suspected"] == [] and block["reinstatements"] == 0, block
+        server["liveness"] = None
+        return document
+    agents = [str(i) for i in range(server["n"])]
+    assert list(block["misses"]) == list(block["last_seen"]) == agents, block
+    server["liveness"] = {
+        "misses": [block["misses"][a] for a in agents],
+        "last_seen": [block["last_seen"][a] for a in agents],
+        "suspected": [int(a) in block["suspected"] for a in agents],
+        "reinstatements": block["reinstatements"],
+    }
+    return document
+
+
+def _fixed_defect(kwargs, parent_outcome):
+    """Whether a configuration is one of those the two fixed rules change:
+    quarantine where silence eliminates, or a round short of its filter's
+    minimum inputs (which the frozen server let the filter reject)."""
+    policy = _frozen_policy(kwargs)
+    return (policy.eliminate_on_silence and policy.quarantine_non_finite) or (
+        isinstance(parent_outcome, InvalidParameterError)
+        and "requires at least" in str(parent_outcome)
+    )
 
 
 def _assert_same_trace(ref, new, compare_extra=True):
@@ -139,33 +209,50 @@ def _assert_same_trace(ref, new, compare_extra=True):
         assert repr(ref.extra) == repr(new.extra)
 
 
-def _assert_same_checkpoints(ref_documents, new_documents):
-    assert sorted(ref_documents) == sorted(new_documents)
-    for round_index, document in new_documents.items():
-        assert json.dumps(_strip(document)) == json.dumps(ref_documents[round_index]), (
-            round_index
-        )
+def _assert_same_run(ref, other, tracked, new=True):
+    """``other`` (the simulator when ``new``, else the fixed-rules
+    reference) against the reference run ``ref``."""
+    ref_trace, ref_tel, ref_documents, ref_warnings = ref
+    trace, tel, documents, caught = other
+    if isinstance(ref_trace, ReproError):
+        assert repr(ref_trace) == repr(trace)
+    else:
+        _assert_same_trace(ref_trace, trace)
+    assert repr(_records(ref_tel, new)) == repr(_records(tel, new))
+    assert ref_warnings == caught
+    assert sorted(ref_documents) == sorted(documents)
+    for round_index, document in documents.items():
+        want = _translate(ref_documents[round_index], tracked)
+        got = _strip(document) if new else _translate(document, tracked)
+        assert json.dumps(got) == json.dumps(want), round_index
 
 
 def _compare(costs, behavior, kwargs, checkpointed):
+    """Run the frozen server, the frozen server under the fixed rules and
+    the simulator; returns the simulator's trace, its checkpoint
+    documents and whether the frozen server itself was matched."""
+    runners = {
+        "parent": reference_run_dgd,
+        "fixed": partial(reference_run_dgd, server_class=FixedRulesReferenceServer),
+        "new": run_dgd,
+    }
     with tempfile.TemporaryDirectory() as directory:
-        paths = (
-            (os.path.join(directory, "ref.json"), os.path.join(directory, "new.json"))
-            if checkpointed
-            else (None, None)
-        )
-        ref = _run(reference_run_dgd, costs, behavior, kwargs, paths[0])
-        new = _run(run_dgd, costs, behavior, kwargs, paths[1])
-    ref_trace, ref_tel, ref_documents, ref_warnings = ref
-    new_trace, new_tel, new_documents, new_warnings = new
-    if isinstance(ref_trace, ReproError):
-        assert repr(ref_trace) == repr(new_trace)
-    else:
-        _assert_same_trace(ref_trace, new_trace)
-    assert repr(_records(ref_tel)) == repr(_records(new_tel))
-    assert ref_warnings == new_warnings
-    _assert_same_checkpoints(ref_documents, new_documents)
-    return new_trace, new_documents
+        runs = {
+            name: _run(
+                runner, costs, behavior, kwargs,
+                os.path.join(directory, f"{name}.json") if checkpointed else None,
+            )
+            for name, runner in runners.items()
+        }
+    tracked = not _frozen_policy(kwargs).eliminate_on_silence
+    _assert_same_run(runs["fixed"], runs["new"], tracked)
+    pinned_to_parent = not _fixed_defect(kwargs, runs["parent"][0])
+    if pinned_to_parent:
+        # The fixed rules change nothing else, apart from the quorum a
+        # stall names.
+        _assert_same_run(runs["parent"], runs["fixed"], tracked, new=False)
+    new_trace, _, new_documents, _ = runs["new"]
+    return new_trace, new_documents, pinned_to_parent
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +398,31 @@ def test_kill_and_resume_matches_uninterrupted_reference(mode, tmp_path):
     assert reference.extra["traffic"]["messages_corrupted"] > 0
     assert repr(dict(reference.extra, resumed_from_round=21)) == repr(resumed.extra)
     final = _strip(read_json_checked(new_path))
-    assert json.dumps(final) == json.dumps(read_json_checked(ref_path))
+    want = _translate(read_json_checked(ref_path), tracked=True)
+    assert json.dumps(final) == json.dumps(want)
+
+
+def test_version_one_checkpoint_restarts_fresh(tmp_path):
+    instance = make_redundant_regression(n=6, d=2, f=1, noise_std=0.0, seed=4)
+    kwargs = dict(
+        gradient_filter="cge",
+        faulty_ids=[1],
+        iterations=20,
+        seed=3,
+        fault_model=NetworkFaultModel.uniform(
+            range(6), FaultProfile(drop_prob=0.2), seed=5
+        ),
+        checkpoint_every=5,
+    )
+    path = str(tmp_path / "run.json")
+    reference_run_dgd(instance.costs, GradientReverse(), checkpoint_path=path, **kwargs)
+    assert read_json_checked(path)["version"] == 1
+    with pytest.warns(UserWarning, match="version 1 "):
+        trace = run_dgd(instance.costs, GradientReverse(), checkpoint_path=path, **kwargs)
+    assert trace.extra["resumed_from_round"] == 0
+    assert read_json_checked(path)["version"] == 2
+    fresh = run_dgd(instance.costs, GradientReverse(), **kwargs)
+    assert trace.estimates.tobytes() == fresh.estimates.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -384,9 +495,10 @@ def test_benchmark_configuration_matches_reference(seed, path):
     )
     if path == "healing":
         kwargs["fault_model"] = inputs["fault_model"]
-    trace, documents = _compare(
+    trace, documents, pinned_to_parent = _compare(
         inputs["instance"].costs, ALittleIsEnough(), kwargs, path == "healing"
     )
+    assert pinned_to_parent
     if path == "sync":
         assert trace.messages_delivered == 2 * N * ITERATIONS
     else:
@@ -439,8 +551,6 @@ def overlay_cases(draw):
             profiles={i: draw(fault_profiles(iterations)) for i in sorted(profiled)},
             seed=draw(fault_seeds),
         ),
-        "staleness": draw(st.integers(0, 3)),
-        "quarantine": draw(st.booleans()),
         "rows_seed": draw(st.integers(0, 2**16)),
     }
 
@@ -449,9 +559,7 @@ def overlay_cases(draw):
 @given(case=overlay_cases())
 def test_peer_to_peer_overlay_matches_reference(case):
     n, dimension = case["n"], 3
-    policy = ResiliencePolicy(
-        max_staleness=case["staleness"], quarantine_non_finite=case["quarantine"]
-    )
+    policy = ReferenceResiliencePolicy.for_model(case["model"])
     rng = np.random.default_rng(case["rows_seed"])
     states = []
     for _ in range(2):
@@ -462,10 +570,10 @@ def test_peer_to_peer_overlay_matches_reference(case):
     for t in range(case["iterations"]):
         rows = [rng.normal(size=dimension) for _ in range(n)]
         outputs = [
-            degrade(list(rows), t, case["model"], policy, *state, dimension)
-            for degrade, state in zip(
-                (reference_degrade_agreed_rows, _degrade_agreed_rows), states
-            )
+            reference_degrade_agreed_rows(
+                list(rows), t, case["model"], policy, *states[0], dimension
+            ),
+            _degrade_agreed_rows(list(rows), t, case["model"], *states[1], dimension),
         ]
         assert [r.tobytes() for r in outputs[0]] == [r.tobytes() for r in outputs[1]]
     assert states[0][2] == states[1][2]

@@ -11,7 +11,9 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.system.faultinjection import deterministic_draw_array
-from repro.system.healing import NeighborhoodLiveness, ResiliencePolicy
+from repro.optimization.cost_functions import QuadraticCost
+from repro.system.decentralized import run_decentralized_dgd
+from repro.system.healing import SUSPICION_THRESHOLD, NeighborhoodLiveness
 from repro.system.netfaults import (
     ChurnWindow,
     LinkFaultModel,
@@ -19,6 +21,7 @@ from repro.system.netfaults import (
     PartitionWindow,
     corrupt_payload_rows,
 )
+from repro.system.topology import make_topology
 
 
 class TestDeterministicDrawArray:
@@ -199,49 +202,52 @@ class TestCorruptPayloadRows:
 
 
 class TestNeighborhoodLiveness:
-    def _tracker(self, threshold=3):
+    def _tracker(self):
         senders = np.array([0, 1, 2, 0])
         receivers = np.array([1, 2, 0, 2])
-        return NeighborhoodLiveness(senders, receivers, threshold), 4
+        return NeighborhoodLiveness(senders, receivers), 4
 
     def test_suspicion_after_threshold_and_reinstatement(self):
-        tracker, num_edges = self._tracker(threshold=3)
+        tracker, num_edges = self._tracker()
         silent_edge = np.array([False, True, True, True])
-        for round_index in range(2):
+        for round_index in range(SUSPICION_THRESHOLD - 1):
             newly, reinstated = tracker.observe(round_index, silent_edge)
             assert (newly, reinstated) == (0, 0)
-        newly, _ = tracker.observe(2, silent_edge)
+        newly, _ = tracker.observe(SUSPICION_THRESHOLD - 1, silent_edge)
         assert newly == 1
         assert tracker.suspected_edges() == [(0, 1)]
         # one delivery reinstates immediately
-        newly, reinstated = tracker.observe(3, np.ones(num_edges, dtype=bool))
+        newly, reinstated = tracker.observe(
+            SUSPICION_THRESHOLD, np.ones(num_edges, dtype=bool)
+        )
         assert (newly, reinstated) == (0, 1)
         assert tracker.suspected_edges() == []
         assert tracker.reinstatements == 1
 
     def test_live_in_degree_reflects_suspicion(self):
-        tracker, num_edges = self._tracker(threshold=1)
+        tracker, num_edges = self._tracker()
         assert tracker.live_in_degree(3).tolist() == [1, 1, 2]
-        tracker.observe(0, np.array([True, True, False, True]))
+        for round_index in range(SUSPICION_THRESHOLD):
+            tracker.observe(round_index, np.array([True, True, False, True]))
         assert tracker.suspected_edges() == [(2, 0)]
         assert tracker.live_in_degree(3).tolist() == [0, 1, 2]
 
     def test_state_roundtrip(self):
-        tracker, num_edges = self._tracker(threshold=2)
+        tracker, num_edges = self._tracker()
         tracker.observe(0, np.array([False, False, True, True]))
         snapshot = tracker.state()
-        other, _ = self._tracker(threshold=2)
+        other, _ = self._tracker()
         other.restore_state(snapshot)
         other.observe(1, np.zeros(num_edges, dtype=bool))
         tracker.observe(1, np.zeros(num_edges, dtype=bool))
-        assert other.suspected_edges() == tracker.suspected_edges()
+        assert other.suspected_edges() == tracker.suspected_edges() != []
         assert np.array_equal(other.last_seen(), tracker.last_seen())
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            NeighborhoodLiveness(np.array([0]), np.array([1]), 0)
+            NeighborhoodLiveness(np.array([0, 1]), np.array([1]))
         with pytest.raises(InvalidParameterError):
-            NeighborhoodLiveness(np.array([0, 1]), np.array([1]), 1)
+            NeighborhoodLiveness(np.zeros((2, 2)), np.zeros((2, 2)))
         tracker, _ = self._tracker()
         with pytest.raises(InvalidParameterError, match="shape"):
             tracker.observe(0, np.array([True]))
@@ -249,19 +255,21 @@ class TestNeighborhoodLiveness:
 
 class TestPolicyForLinkModel:
     def test_matches_model_bounds(self):
+        # The engine reuses a neighbor state up to the model's one-way
+        # staleness bound, and none without a model.
+        topology = make_topology("ring", 8, seed=0, hops=1)
+        costs = [QuadraticCost(np.eye(2), np.full(2, float(i))) for i in range(8)]
         delayed = LinkFaultModel(
             default_profile=LinkFaultProfile(delay_prob=0.2, max_delay=3)
         )
-        policy = ResiliencePolicy.for_link_model(delayed)
-        assert policy.max_staleness == 3
-        assert policy.eliminate_on_silence is False
-        null_policy = ResiliencePolicy.for_link_model(LinkFaultModel())
-        assert null_policy.max_staleness == 0
-        assert null_policy.eliminate_on_silence is True
+        lossy = LinkFaultModel(default_profile=LinkFaultProfile(drop_prob=0.5))
+        for model, staleness in (
+            (delayed, 3), (lossy, 1), (LinkFaultModel(), 0), (None, 0)
+        ):
+            if model is not None:
+                assert model.staleness_bound() == staleness
+            result = run_decentralized_dgd(
+                costs, topology, aggregation="mean", iterations=3, link_faults=model
+            )
+            assert result.extra["max_staleness"] == staleness
 
-    def test_overrides_win(self):
-        model = LinkFaultModel(
-            default_profile=LinkFaultProfile(drop_prob=0.5)
-        )
-        policy = ResiliencePolicy.for_link_model(model, max_staleness=7)
-        assert policy.max_staleness == 7

@@ -11,6 +11,9 @@ Pins the three headline guarantees of the partially-synchronous engine:
   permanently eliminated;
 - **durable resume** — a checkpointed run killed mid-flight resumes
   bit-identically to the uninterrupted trajectory.
+
+The server's rules come from its fault model, so the unit tests below
+pick the model whose rules they need.
 """
 
 import numpy as np
@@ -21,10 +24,10 @@ from repro.analysis.metrics import final_error
 from repro.analysis.serialization import load_trace, save_trace
 from repro.attacks.base import ByzantineBehavior
 from repro.attacks.registry import make_attack
-from repro.exceptions import ProtocolViolationError
+from repro.exceptions import InvalidParameterError, ProtocolViolationError
 from repro.observability import MemorySink, Telemetry
 from repro.problems.linear_regression import make_redundant_regression
-from repro.system.healing import ResiliencePolicy, ResilientDGDServer
+from repro.system.healing import ResilientDGDServer
 from repro.system.messages import GradientMessage
 from repro.system.netfaults import FaultProfile, NetworkFaultModel
 from repro.system.peer_to_peer import run_peer_to_peer_dgd
@@ -165,10 +168,8 @@ class TestZeroFaultBitIdentity:
         )
         assert np.array_equal(sync.estimates, hardened.estimates)
         assert sync.eliminated == hardened.eliminated == []
-        assert not ResiliencePolicy.for_model(
-            NetworkFaultModel()
-        ).quarantine_non_finite
-        assert ResiliencePolicy.for_model(_chaos_model()).quarantine_non_finite
+        assert not NetworkFaultModel().corrupts
+        assert _chaos_model().corrupts
 
     def test_peer_to_peer(self, instance):
         base = run_peer_to_peer_dgd(
@@ -362,12 +363,13 @@ class TestCheckpointResume:
             rerun = run_dgd(instance.costs, make_attack("gradient-reverse"), **other)
         assert rerun.extra["resumed_from_round"] == 0
 
-    @pytest.mark.parametrize("change", ["profiles", "reorder", "resilience", "attack"])
+    @pytest.mark.parametrize("change", ["profiles", "reorder", "attack"])
     def test_checkpoint_of_another_fault_model_or_attack_is_rejected(
         self, tmp_path, change
     ):
         # The fault seed, instance, filter and placement all match; what
-        # differs is the network, the policy or the attack.
+        # differs is the network (and with it the healing rules) or the
+        # attack.
         instance = make_redundant_regression(n=N, d=D, f=F, noise_std=0.0, seed=3)
         ckpt = str(tmp_path / "run.ckpt.json")
         first = NetworkFaultModel.uniform(range(N), FaultProfile(drop_prob=0.05), seed=7)
@@ -391,8 +393,6 @@ class TestCheckpointResume:
             config["fault_model"] = NetworkFaultModel.uniform(
                 range(N), FaultProfile(drop_prob=0.05), seed=7, reorder=True
             )
-        elif change == "resilience":
-            config["resilience"] = ResiliencePolicy.for_model(first, max_staleness=3)
         with pytest.warns(UserWarning, match="different configuration"):
             rerun = run_dgd(instance.costs, make_attack(attack),
                             checkpoint_path=ckpt, iterations=60, **config)
@@ -416,8 +416,16 @@ class TestCheckpointResume:
         assert np.array_equal(extended.estimates, full.estimates)
 
 
+#: Silence does not eliminate; a gradient may be reused one round late.
+LOSSY = NetworkFaultModel.uniform(range(4), FaultProfile(drop_prob=0.1))
+#: Silence does not eliminate; a gradient may be reused two rounds late.
+DELAYED = NetworkFaultModel.uniform(
+    range(4), FaultProfile(delay_prob=0.5, max_delay=1)
+)
+
+
 class TestResilientServerUnits:
-    def _server(self, policy=None, n=4, f=1):
+    def _server(self, fault_model=None, n=4, f=1):
         from repro.optimization.projections import BoxSet
         from repro.optimization.step_sizes import DiminishingStepSize
 
@@ -428,7 +436,7 @@ class TestResilientServerUnits:
             np.zeros(2),
             n=n,
             f=f,
-            policy=policy,
+            fault_model=fault_model,
         )
 
     def _msg(self, sender, round_index, values):
@@ -442,17 +450,15 @@ class TestResilientServerUnits:
             server.step_partial([self._msg(0, 3, [1.0, 1.0])])
 
     def test_duplicates_are_idempotent_in_step(self):
-        policy = ResiliencePolicy(eliminate_on_silence=False, max_staleness=1)
-        one = self._server(policy)
-        two = self._server(policy)
+        one = self._server(LOSSY)
+        two = self._server(LOSSY)
         messages = [self._msg(i, 0, [1.0 + i, -1.0]) for i in range(4)]
         one.step_partial(messages)
         two.step_partial(messages + messages[:2])  # replayed copies
         assert np.array_equal(one.estimate, two.estimate)
 
     def test_quorum_stalls_and_partial_aggregates(self):
-        policy = ResiliencePolicy(eliminate_on_silence=False, max_staleness=0)
-        server = self._server(policy)
+        server = self._server(LOSSY)
         before = server.estimate
         server.step_partial([self._msg(0, 0, [1.0, 1.0])])  # k=1 < quorum 2
         assert server.stalled_rounds == 1
@@ -463,10 +469,7 @@ class TestResilientServerUnits:
         assert not np.array_equal(server.estimate, before)
 
     def test_suspicion_and_reinstatement(self):
-        policy = ResiliencePolicy(
-            eliminate_on_silence=False, max_staleness=0, suspicion_threshold=2
-        )
-        server = self._server(policy)
+        server = self._server(LOSSY)
         for r in range(2):
             server.step_partial([self._msg(i, r, [1.0, 0.0]) for i in range(3)])
         assert server.suspected_agents == [3]
@@ -476,16 +479,9 @@ class TestResilientServerUnits:
         assert server.suspected_agents == []
         assert server.liveness.reinstatements == 1
 
-    def test_conflict_elimination_when_policy_trusts_it(self):
-        policy = ResiliencePolicy(
-            eliminate_on_silence=False, eliminate_on_conflict=True, max_staleness=1
-        )
-        server = self._server(policy)
-        messages = [self._msg(i, 0, [1.0, 0.0]) for i in range(4)]
-        messages.append(self._msg(0, 0, [9.0, 9.0]))  # equivocation by agent 0
-        server.step_partial(messages)
-        assert server.eliminated_agents == [0]
-        assert server.n == 3 and server.f == 0
+    def test_liveness_is_tracked_only_where_silence_does_not_eliminate(self):
+        assert self._server().liveness is None
+        assert self._server(LOSSY).liveness.num_edges == 4
 
     def test_validate_payloads_flag_on_synchronous_server(self):
         from repro.optimization.projections import BoxSet
@@ -508,11 +504,11 @@ class TestResilientServerUnits:
             server.step(bad)
 
     def test_checkpoint_restore_round_trip(self):
-        policy = ResiliencePolicy(eliminate_on_silence=False, max_staleness=2)
-        server = self._server(policy)
+        server = self._server(DELAYED)
         for r in range(3):
             server.step_partial([self._msg(i, r, [1.0, float(i)]) for i in range(3)])
-        clone = self._server(policy)
+        assert server.suspected_agents == [3]
+        clone = self._server(DELAYED)
         clone.restore(server.checkpoint())
         assert np.array_equal(clone.estimate, server.estimate)
         assert clone.round_index == server.round_index
@@ -520,6 +516,64 @@ class TestResilientServerUnits:
         # Both servers evolve identically afterwards.
         nxt = [self._msg(i, 3, [0.5, 0.5]) for i in range(4)]
         assert np.array_equal(server.step_partial(nxt), clone.step_partial(nxt))
+
+
+class TestHealingRules:
+    """The rules the server reads off its fault model."""
+
+    def test_quarantined_payload_is_not_silence(self, instance):
+        # Corruption alone keeps silence as proof, so silent agents are
+        # eliminated; an agent whose reply the network damaged did speak.
+        model = NetworkFaultModel(profiles={2: FaultProfile(corrupt_prob=0.5)})
+        assert model.preserves_synchrony
+        trace = run_dgd(
+            instance.costs,
+            make_attack("gradient-reverse"),
+            gradient_filter="cge",
+            faulty_ids=FAULTY,
+            iterations=30,
+            seed=5,
+            fault_model=model,
+        )
+        resilience = trace.extra["resilience"]
+        assert resilience["quarantined_by_agent"].keys() == {2}
+        assert trace.eliminated == []
+        assert resilience["suspected"] == []
+
+    def test_quarantine_without_fault_budget(self):
+        costs = make_redundant_regression(n=2, d=1, f=0, noise_std=0.0, seed=9).costs
+        trace = run_dgd(
+            costs,
+            gradient_filter="cge",
+            iterations=10,
+            seed=5,
+            fault_model=NetworkFaultModel(profiles={0: FaultProfile(corrupt_prob=1.0)}),
+        )
+        assert trace.eliminated == []
+        assert trace.extra["resilience"]["quarantined_payloads"] == 10
+
+    def test_round_short_of_filter_inputs_stalls(self):
+        # CWTM with f=3 needs all 7 rows: a lost reply stalls the round
+        # instead of handing the filter 6.
+        n, f = 7, 3
+        costs = make_redundant_regression(n=n, d=1, f=f, noise_std=0.0, seed=9).costs
+        telemetry = Telemetry(MemorySink())
+        trace = run_dgd(
+            costs,
+            make_attack("gradient-reverse"),
+            gradient_filter="cwtm",
+            faulty_ids=(0, 1, 2),
+            iterations=30,
+            seed=5,
+            fault_model=NetworkFaultModel.uniform(range(n), FaultProfile(drop_prob=0.05)),
+            telemetry=telemetry,
+        )
+        assert trace.extra["resilience"]["stalled_rounds"] == 3
+        stalls = [r for r in telemetry.records if r["event"] == "stalled"]
+        assert len(stalls) == 3
+        assert all(r["quorum"] == 2 * f + 1 > r["responders"] for r in stalls)
+        with pytest.raises(InvalidParameterError, match="requires at least 7"):
+            make_filter("cwtm", f=f)(np.zeros((6, 1)))
 
 
 class TestTraceAccounting:

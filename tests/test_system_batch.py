@@ -31,7 +31,6 @@ from repro.experiments.common import PAPER_X0, REGRESSION_ATTACKS
 from repro.optimization.cost_functions import ScaledCost, TranslatedQuadratic
 from repro.problems.linear_regression import make_redundant_regression
 from repro.system.batch import batch_unsupported_reason, run_dgd_batch
-from repro.system.healing import ResiliencePolicy
 from repro.system.netfaults import FaultProfile, NetworkFaultModel
 from repro.system.runner import DGDConfig, run_dgd
 
@@ -170,7 +169,6 @@ class TestFallbacks:
         gradient_filter = make_filter("cge", f=1)
         for config in (
             DGDConfig(fault_model=NetworkFaultModel()),
-            DGDConfig(resilience=ResiliencePolicy()),
             DGDConfig(checkpoint_path="run.ckpt.json"),
         ):
             reason = batch_unsupported_reason(

@@ -1,11 +1,23 @@
-"""Tests for protocol messages and the synchronous network."""
+"""Tests for protocol messages and the synchronous network.
+
+The synchronous network never drops; its drop accounting is exercised
+through the partially-synchronous subclass, whose fault model does.
+"""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ProtocolViolationError
 from repro.system.messages import SERVER_ID, EstimateBroadcast, GradientMessage
+from repro.system.netfaults import (
+    FaultProfile,
+    NetworkFaultModel,
+    PartiallySynchronousNetwork,
+)
 from repro.system.network import SynchronousNetwork
+
+#: Every message agent 7 sends is lost.
+LOSSY_SEVEN = NetworkFaultModel(profiles={7: FaultProfile(drop_prob=1.0)})
 
 
 class TestMessages:
@@ -94,17 +106,12 @@ class TestNetwork:
         assert len(received) == 2
 
     def test_drops_are_per_sender_and_logged(self):
-        rng = np.random.default_rng(0)
-        net = SynchronousNetwork(drop_probabilities={7: 1.0}, rng=rng)
-        assert net.deliver(self._msg(sender=7), SERVER_ID) is None
-        assert net.deliver(self._msg(sender=1), SERVER_ID) is not None
+        net = PartiallySynchronousNetwork(LOSSY_SEVEN)
+        net.submit(self._msg(sender=7), SERVER_ID, 0)
+        net.submit(self._msg(sender=1), SERVER_ID, 0)
+        assert [m.sender for m in net.collect(SERVER_ID, 0)] == [1]
         assert net.messages_dropped == 1
-        assert any(record.dropped for record in net.log)
-
-    def test_drop_probability_requires_rng(self):
-        net = SynchronousNetwork(drop_probabilities={0: 0.5})
-        with pytest.raises(InvalidParameterError):
-            net.deliver(self._msg(), SERVER_ID)
+        assert [record.dropped for record in net.log] == [True, False]
 
     def test_log_capacity_bounds_memory(self):
         net = SynchronousNetwork(log_capacity=5)
@@ -115,13 +122,12 @@ class TestNetwork:
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(InvalidParameterError):
-            SynchronousNetwork(drop_probabilities={0: 1.5})
+            FaultProfile(drop_prob=1.5)
 
     def test_dropped_bytes_are_accounted(self):
-        rng = np.random.default_rng(0)
-        net = SynchronousNetwork(drop_probabilities={7: 1.0}, rng=rng)
+        net = PartiallySynchronousNetwork(LOSSY_SEVEN)
         msg = self._msg(sender=7)
-        net.deliver(msg, SERVER_ID)
+        net.submit(msg, SERVER_ID, 0)
         assert net.bytes_dropped == msg.size_bytes()
         assert net.bytes_delivered == 0
         summary = net.traffic_summary()
