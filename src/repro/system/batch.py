@@ -43,28 +43,26 @@ randomized and adaptive attacks (``random``, ``alie``, ``ipm``, ``mimic``,
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.aggregators.base import GradientFilter
-from repro.aggregators.registry import make_filter
 from repro.attacks.base import AttackContext, ByzantineBehavior
 from repro.attacks.simple import ConstantBias, GradientReverse, SignFlip, ZeroGradient
 from repro.exceptions import InvalidParameterError
 from repro.observability import TelemetryLike, ensure_telemetry
 from repro.optimization.cost_functions import CostFunction, QuadraticCost
-from repro.optimization.projections import BoxSet, numpy_batch_projector
+from repro.optimization.projections import numpy_batch_projector
 from repro.system.runner import (
     DGDConfig,
     Trace,
-    _default_schedule,
+    _schedule_projection_start,
+    _validate_run,
     apply_config_overrides,
     run_dgd,
 )
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
-from repro.utils.validation import check_vector
 
 __all__ = ["run_dgd_batch", "batch_unsupported_reason"]
 
@@ -296,31 +294,10 @@ def run_dgd_batch(
     if not seeds:
         raise InvalidParameterError("seeds must contain at least one entry")
 
-    costs = list(costs)
+    costs, dimension, faulty_ids, _, _, gradient_filter = _validate_run(
+        costs, behavior, config
+    )
     n = len(costs)
-    if n == 0:
-        raise InvalidParameterError("at least one agent required")
-    dimension = costs[0].dimension
-    for index, cost in enumerate(costs):
-        if cost.dimension != dimension:
-            raise InvalidParameterError(
-                f"cost {index} has dimension {cost.dimension}, expected {dimension}"
-            )
-    faulty_ids = sorted(set(int(i) for i in config.faulty_ids))
-    if any(i < 0 or i >= n for i in faulty_ids):
-        raise InvalidParameterError("faulty_ids out of range")
-    f = config.resolved_f()
-    if len(faulty_ids) + len(config.crash_rounds or {}) > f:
-        raise InvalidParameterError(
-            f"{len(faulty_ids) + len(config.crash_rounds or {})} faulty agents "
-            f"exceed the announced bound f={f}"
-        )
-    if faulty_ids and behavior is None:
-        raise InvalidParameterError("faulty agents configured but no behavior given")
-
-    gradient_filter = config.gradient_filter
-    if isinstance(gradient_filter, str):
-        gradient_filter = make_filter(gradient_filter, f=f)
 
     tel = ensure_telemetry(telemetry)
     reason = batch_unsupported_reason(costs, behavior, config, gradient_filter)
@@ -349,26 +326,10 @@ def run_dgd_batch(
         adversary_rng, _ = spawn_rngs(ensure_rng(seed), 2)
         adversary_rngs.append(adversary_rng)
 
-    step_sizes = config.step_sizes or _default_schedule(costs, gradient_filter)
-    if not step_sizes.satisfies_robbins_monro:
-        warnings.warn(
-            "step-size schedule violates the Robbins-Monro conditions; the "
-            "convergence theorem does not apply",
-            stacklevel=2,
-        )
-    projection = config.projection or BoxSet.centered(dimension, config.box_half_width)
-    if not projection.is_compact:
-        warnings.warn(
-            "projection set is not compact; the convergence theorem requires "
-            "a compact convex W",
-            stacklevel=2,
-        )
-    project_batch = numpy_batch_projector(projection)
-    x0 = (
-        np.zeros(dimension)
-        if config.x0 is None
-        else check_vector(config.x0, dimension=dimension, name="x0")
+    step_sizes, projection, x0 = _schedule_projection_start(
+        costs, config, gradient_filter, dimension
     )
+    project_batch = numpy_batch_projector(projection)
     x0 = projection.project(x0)
 
     # Batched affine gradient map G[k, i] = P_i @ X[k] + q_i.

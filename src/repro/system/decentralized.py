@@ -49,11 +49,15 @@ Each receiver keeps a freshest-wins per-edge buffer; a neighbor is *live*
 while its buffered state is at most the model's ``staleness_bound()``
 rounds old (bounded-staleness reuse), non-finite payloads are quarantined,
 and a :class:`~repro.system.healing.NeighborhoodLiveness` suspects edges
-that keep missing their rounds. When a neighborhood shrinks below its
-``2 f_i + 1`` closed-neighborhood requirement — deep partition, heavy
-loss — the agent degrades gracefully to its own state (local gradient
-descent) for the round rather than mixing an un-defendable set; a
-partitioned component therefore keeps optimizing independently and
+that keep missing their rounds. Suspicion is bookkeeping only: it feeds
+the suspected/reinstated edge counters, the ``agent_health`` telemetry
+and ``extra["suspected_edges"]``, and never changes a mix, a quorum or a
+staleness decision; ``k_i`` counts the staleness-live edges. When a
+neighborhood shrinks below its ``2 f_i + 1`` closed-neighborhood
+requirement — deep partition, heavy loss — the agent degrades
+gracefully to its own state (local gradient descent) for the round
+rather than mixing an un-defendable set; a partitioned component
+therefore keeps optimizing independently and
 reconciles deterministically once the cut heals.
 
 Byzantine behaviour reuses the attack bank: a faulty agent broadcasts a

@@ -17,7 +17,9 @@ module provides the hardened runtime:
   :data:`SUSPICION_THRESHOLD` consecutive deadlines is suspected instead
   of cut, and reinstated the moment it delivers again. The decentralized
   engine tracks the edges of its graph; the server tracks its ``n``
-  agent→server edges;
+  agent→server edges. Suspicion is bookkeeping only: it feeds counters,
+  telemetry and the resilience summary, and never changes a mix, a
+  quorum or a staleness decision;
 - :class:`ResilientDGDServer` — per-round deadlines with partial
   aggregation: each round it aggregates the fresh gradients plus
   bounded-staleness reuses, re-invoking the ``FilterFactory`` for the
@@ -74,7 +76,8 @@ class NeighborhoodLiveness:
 
     Suspicion is evidence of link *badness*, never proof of sender
     faultiness; a suspected edge is reinstated the moment it delivers
-    again.
+    again. Nothing reads suspicion to decide a round: it is reported,
+    not acted on.
     """
 
     def __init__(self, senders: np.ndarray, receivers: np.ndarray):
@@ -99,11 +102,6 @@ class NeighborhoodLiveness:
     def suspected(self) -> np.ndarray:
         """Boolean ``(E,)`` mask of currently suspected edges (a copy)."""
         return self._suspected.copy()
-
-    @property
-    def misses(self) -> np.ndarray:
-        """Consecutive missed rounds per edge (a copy)."""
-        return self._misses.copy()
 
     def last_seen(self) -> np.ndarray:
         """Round of each edge's last delivery (``-1`` if never; a copy)."""
@@ -150,16 +148,6 @@ class NeighborhoodLiveness:
     def last_reinstated_edges(self) -> List[Tuple[int, int]]:
         """Edges that delivered again at the latest ``observe``."""
         return self._edges_of(self._last_reinstated)
-
-    def live_in_degree(self, n: int) -> np.ndarray:
-        """Per-receiver count of currently unsuspected incoming edges.
-
-        This is the dynamic ``k_i`` the decentralized engine feeds into
-        its per-neighborhood ``(k_i, f_i)`` re-accounting.
-        """
-        counts = np.zeros(int(n), dtype=np.int64)
-        np.add.at(counts, self._receivers[~self._suspected], 1)
-        return counts
 
     def state(self) -> Dict:
         return {
@@ -302,10 +290,10 @@ class RoundInbox:
 class ResilientDGDServer(DGDServer):
     """A :class:`DGDServer` that survives partially-synchronous delivery.
 
-    Each :meth:`step_partial` is one round deadline. Whatever arrived by
-    the deadline — fresh gradients, late gradients from earlier rounds,
-    duplicates, corrupted payloads — is deduplicated, validated, and
-    classified. The update then aggregates the fresh set plus
+    Each :meth:`step_partial` is one round deadline; :meth:`step`, which
+    the server loop calls, runs it. Whatever arrived by the deadline —
+    fresh gradients, late gradients from earlier rounds, duplicates,
+    corrupted payloads — is deduplicated, validated, and classified. The update then aggregates the fresh set plus
     bounded-staleness reuses, re-invoking the filter factory at the
     reduced ``(k, f)`` when participation is partial, and stalls (holds
     the estimate) when fewer gradients arrived than the filter needs.
@@ -314,8 +302,8 @@ class ResilientDGDServer(DGDServer):
     While it preserves synchrony, a silent agent is eliminated and the
     behaviour is the synchronous server's, bit for bit. Otherwise silence
     only feeds a :class:`NeighborhoodLiveness` over the ``n``
-    agent→server edges and every agent keeps its seat — "slow" is not
-    "faulty".
+    agent→server edges, whose suspicions are reported and never acted
+    on, and every agent keeps its seat — "slow" is not "faulty".
     """
 
     def __init__(
@@ -352,10 +340,6 @@ class ResilientDGDServer(DGDServer):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def inbox(self) -> RoundInbox:
-        return self._inbox
 
     @property
     def liveness(self) -> Optional[NeighborhoodLiveness]:
@@ -401,6 +385,10 @@ class ResilientDGDServer(DGDServer):
     # ------------------------------------------------------------------
     # The hardened round
     # ------------------------------------------------------------------
+
+    def step(self, messages: Sequence[GradientMessage]) -> np.ndarray:
+        """One round of the server loop: the hardened :meth:`step_partial`."""
+        return self.step_partial(messages)
 
     def step_partial(self, messages: Sequence[GradientMessage]) -> np.ndarray:
         """Run one round deadline from whatever the network delivered.

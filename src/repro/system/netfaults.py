@@ -361,7 +361,9 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     :meth:`collect` releases the copies due in the current round, in a
     deterministic (optionally seeded-shuffled) order. With a null fault
     model every submission is collectable in its own round in submission
-    order, so the schedule degenerates to the synchronous one.
+    order, so the schedule degenerates to the synchronous one. The
+    round-level :meth:`broadcast` and :meth:`gather` the server loop calls
+    are a submit followed by a collect.
 
     In-flight copies are queued per receiver, so a collection reads only
     its own receiver's copies.
@@ -522,6 +524,31 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
             self._record(entry.message, receiver, False)
             released.append(entry.message)
         return released
+
+    def broadcast(
+        self, message: Message, receivers: Iterable[int], current_round: int
+    ) -> Dict[int, List[Message]]:
+        """Submit ``message`` to every receiver, then collect each one's due copies.
+
+        A receiver inside its crash window collects nothing: it gets no
+        entry, and the copies queued for it wait until it is back.
+        """
+        receivers = [int(receiver) for receiver in receivers]
+        for receiver in receivers:
+            self.submit(message, receiver, current_round)
+        return {
+            receiver: self.collect(receiver, current_round)
+            for receiver in receivers
+            if not self._model.profile(receiver).is_down(current_round)
+        }
+
+    def gather(
+        self, messages: Iterable[Message], receiver: int, current_round: int
+    ) -> List[Message]:
+        """Submit every message to ``receiver``, then collect its due copies."""
+        for message in messages:
+            self.submit(message, receiver, current_round)
+        return self.collect(receiver, current_round)
 
     # ------------------------------------------------------------------
     # Checkpointing

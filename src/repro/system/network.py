@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.system.messages import Message
@@ -139,10 +139,19 @@ class SynchronousNetwork:
         self._record(message, receiver, False)
         return message
 
-    def broadcast(self, message: Message, receivers: Iterable[int]) -> Dict[int, Message]:
-        """Deliver ``message`` to every receiver; returns the per-receiver copies."""
-        return {int(receiver): self.deliver(message, receiver) for receiver in receivers}
+    def broadcast(
+        self, message: Message, receivers: Iterable[int], current_round: Optional[int] = None
+    ) -> Dict[int, List[Message]]:
+        """Deliver ``message`` to every receiver; returns each receiver's copies.
 
-    def gather(self, messages: Iterable[Message], receiver: int) -> List[Message]:
-        """Deliver many messages to one receiver."""
+        Every receiver gets exactly one copy within the round, so
+        ``current_round`` is not needed here; the partially-synchronous
+        network's override uses it.
+        """
+        return {int(receiver): [self.deliver(message, receiver)] for receiver in receivers}
+
+    def gather(
+        self, messages: Iterable[Message], receiver: int, current_round: Optional[int] = None
+    ) -> List[Message]:
+        """Deliver many messages to one receiver within the round."""
         return [self.deliver(message, receiver) for message in messages]

@@ -1,8 +1,14 @@
 """End-to-end execution of the server-based filtered DGD protocol.
 
 :func:`run_dgd` wires together cost functions, honest agents, the rushing
-adversary, the synchronous network, and the server, and records a full
-:class:`Trace` of the execution for the analysis and experiment layers.
+adversary, a network and the server, and records a full :class:`Trace` of
+the execution for the analysis and experiment layers. One round loop
+drives either network and server pair through the same round-level calls
+(``network.broadcast``, ``network.gather``, ``server.step``): the
+synchronous pair when nothing can fail, the partially-synchronous network
+and the self-healing server under a fault model or a checkpoint path.
+:func:`~repro.system.batch.run_dgd_batch` shares the run's validation and
+set-up helpers.
 """
 
 from __future__ import annotations
@@ -22,11 +28,7 @@ from repro.exceptions import CacheIntegrityError, InvalidParameterError
 from repro.observability import TelemetryLike, ensure_telemetry
 from repro.optimization.cost_functions import CostFunction
 from repro.optimization.projections import BoxSet, ConvexSet
-from repro.optimization.step_sizes import (
-    DiminishingStepSize,
-    StepSizeSchedule,
-    suggest_diminishing,
-)
+from repro.optimization.step_sizes import StepSizeSchedule, suggest_diminishing
 from repro.system.adversary import Adversary
 from repro.system.agents import Agent, CrashAgent, HonestAgent
 from repro.system.healing import ResilientDGDServer
@@ -46,7 +48,8 @@ class DGDConfig:
     Attributes
     ----------
     iterations:
-        Number of synchronous rounds ``T``.
+        Number of rounds ``T``, a non-negative integer (``0`` records
+        ``x0`` only).
     gradient_filter:
         A :class:`GradientFilter` instance or a registry name.
     faulty_ids:
@@ -218,6 +221,78 @@ def _default_schedule(
     return suggest_diminishing(costs, aggregation="sum" if sum_scaled else "mean")
 
 
+def _validate_run(costs, behavior, config: DGDConfig):
+    """Check a run's inputs and build its filter; ``run_dgd_batch`` shares it.
+
+    Returns ``(costs, dimension, faulty_ids, crash_rounds, f, gradient_filter)``.
+    """
+    iterations = config.iterations
+    if not isinstance(iterations, (int, np.integer)) or iterations < 0:
+        raise InvalidParameterError(
+            f"iterations must be a non-negative integer, got {iterations!r}"
+        )
+    costs = list(costs)
+    n = len(costs)
+    if n == 0:
+        raise InvalidParameterError("at least one agent required")
+    dimension = costs[0].dimension
+    for index, cost in enumerate(costs):
+        if cost.dimension != dimension:
+            raise InvalidParameterError(
+                f"cost {index} has dimension {cost.dimension}, expected {dimension}"
+            )
+    faulty_ids = sorted(set(int(i) for i in config.faulty_ids))
+    if any(i < 0 or i >= n for i in faulty_ids):
+        raise InvalidParameterError("faulty_ids out of range")
+    crash_rounds = {int(k): int(v) for k, v in (config.crash_rounds or {}).items()}
+    if any(i < 0 or i >= n for i in crash_rounds):
+        raise InvalidParameterError("crash_rounds agent ids out of range")
+    if set(crash_rounds) & set(faulty_ids):
+        raise InvalidParameterError(
+            "an agent cannot be both adversarial (faulty_ids) and crash-faulty"
+        )
+    f = config.resolved_f()
+    if len(faulty_ids) + len(crash_rounds) > f:
+        raise InvalidParameterError(
+            f"{len(faulty_ids) + len(crash_rounds)} faulty agents exceed the "
+            f"announced bound f={f}"
+        )
+    if faulty_ids and behavior is None:
+        raise InvalidParameterError("faulty agents configured but no behavior given")
+
+    gradient_filter = config.gradient_filter
+    if isinstance(gradient_filter, str):
+        gradient_filter = make_filter(gradient_filter, f=f)
+    return costs, dimension, faulty_ids, crash_rounds, f, gradient_filter
+
+
+def _schedule_projection_start(costs, config: DGDConfig, gradient_filter, dimension: int):
+    """A run's step sizes, projection set ``W`` and start ``x0``.
+
+    Shared like :func:`_validate_run`; its warnings name the run's caller.
+    """
+    step_sizes = config.step_sizes or _default_schedule(costs, gradient_filter)
+    if not step_sizes.satisfies_robbins_monro:
+        warnings.warn(
+            "step-size schedule violates the Robbins-Monro conditions; the "
+            "convergence theorem does not apply",
+            stacklevel=3,
+        )
+    projection = config.projection or BoxSet.centered(dimension, config.box_half_width)
+    if not projection.is_compact:
+        warnings.warn(
+            "projection set is not compact; the convergence theorem requires "
+            "a compact convex W",
+            stacklevel=3,
+        )
+    x0 = (
+        np.zeros(dimension)
+        if config.x0 is None
+        else check_vector(config.x0, dimension=dimension, name="x0")
+    )
+    return step_sizes, projection, x0
+
+
 def run_dgd(
     costs: Sequence[CostFunction],
     behavior: Optional[ByzantineBehavior] = None,
@@ -227,6 +302,14 @@ def run_dgd(
     **config_overrides,
 ) -> Trace:
     """Execute the server-based filtered DGD protocol.
+
+    One round loop runs on one network and server pair: with no
+    ``fault_model`` and no ``checkpoint_path``, the synchronous network and
+    :class:`DGDServer` (no queue, liveness or checkpoint work); otherwise
+    the partially-synchronous network under the model (a null one when
+    only a checkpoint path is set) and :class:`ResilientDGDServer`, which
+    checkpoint, resume and fill ``extra`` with the ``resilience`` and
+    ``traffic`` summaries and ``resumed_from_round``.
 
     Parameters
     ----------
@@ -259,63 +342,17 @@ def run_dgd(
     if config is None:
         config = DGDConfig()
     config = apply_config_overrides(config, config_overrides)
-
-    costs = list(costs)
+    costs, dimension, faulty_ids, crash_rounds, f, gradient_filter = _validate_run(
+        costs, behavior, config
+    )
     n = len(costs)
-    if n == 0:
-        raise InvalidParameterError("at least one agent required")
-    dimension = costs[0].dimension
-    for index, cost in enumerate(costs):
-        if cost.dimension != dimension:
-            raise InvalidParameterError(
-                f"cost {index} has dimension {cost.dimension}, expected {dimension}"
-            )
-    faulty_ids = sorted(set(int(i) for i in config.faulty_ids))
-    if any(i < 0 or i >= n for i in faulty_ids):
-        raise InvalidParameterError("faulty_ids out of range")
-    crash_rounds = {int(k): int(v) for k, v in (config.crash_rounds or {}).items()}
-    if any(i < 0 or i >= n for i in crash_rounds):
-        raise InvalidParameterError("crash_rounds agent ids out of range")
-    if set(crash_rounds) & set(faulty_ids):
-        raise InvalidParameterError(
-            "an agent cannot be both adversarial (faulty_ids) and crash-faulty"
-        )
-    f = config.resolved_f()
-    if len(faulty_ids) + len(crash_rounds) > f:
-        raise InvalidParameterError(
-            f"{len(faulty_ids) + len(crash_rounds)} faulty agents exceed the "
-            f"announced bound f={f}"
-        )
-    if faulty_ids and behavior is None:
-        raise InvalidParameterError("faulty agents configured but no behavior given")
 
     master = ensure_rng(config.seed)
     # The second stream is not read. Spawning both keeps each seed's
     # adversary stream fixed; run_dgd_batch derives it the same way.
     adversary_rng, _ = spawn_rngs(master, 2)
-
-    gradient_filter = config.gradient_filter
-    if isinstance(gradient_filter, str):
-        gradient_filter = make_filter(gradient_filter, f=f)
-
-    step_sizes = config.step_sizes or _default_schedule(costs, gradient_filter)
-    if not step_sizes.satisfies_robbins_monro:
-        warnings.warn(
-            "step-size schedule violates the Robbins-Monro conditions; the "
-            "convergence theorem does not apply",
-            stacklevel=2,
-        )
-    projection = config.projection or BoxSet.centered(dimension, config.box_half_width)
-    if not projection.is_compact:
-        warnings.warn(
-            "projection set is not compact; the convergence theorem requires "
-            "a compact convex W",
-            stacklevel=2,
-        )
-    x0 = (
-        np.zeros(dimension)
-        if config.x0 is None
-        else check_vector(config.x0, dimension=dimension, name="x0")
+    step_sizes, projection, x0 = _schedule_projection_start(
+        costs, config, gradient_filter, dimension
     )
 
     # "honest" here means neither adversarial nor crash-faulty; crash agents
@@ -338,63 +375,112 @@ def run_dgd(
     if tel:
         tel.annotate(byzantine_ids=faulty_ids + sorted(crash_rounds))
 
-    if config.fault_model is not None or config.checkpoint_path is not None:
-        return _run_partially_synchronous(
-            config=config,
-            tel=tel,
-            agents=agents,
-            adversary=adversary,
-            faulty_ids=faulty_ids,
-            crash_rounds=crash_rounds,
-            honest_ids=honest_ids,
-            gradient_filter=gradient_filter,
-            step_sizes=step_sizes,
-            projection=projection,
-            x0=x0,
-            n=n,
-            f=f,
-            dimension=dimension,
-            round_hook=round_hook,
+    filter_name = getattr(gradient_filter, "name", type(gradient_filter).__name__)
+    factory = fixed_filter_factory(gradient_filter)
+    healing = config.fault_model is not None or config.checkpoint_path is not None
+    if healing:
+        model = config.fault_model if config.fault_model is not None else NetworkFaultModel()
+        network = PartiallySynchronousNetwork(model, log_capacity=config.log_capacity)
+        server = ResilientDGDServer(
+            factory, step_sizes, projection, x0, n=n, f=f, telemetry=tel, fault_model=model
         )
+    else:
+        network = SynchronousNetwork(log_capacity=config.log_capacity)
+        server = DGDServer(factory, step_sizes, projection, x0, n=n, f=f, telemetry=tel)
 
-    network = SynchronousNetwork(log_capacity=config.log_capacity)
-    server = DGDServer.with_fixed_filter(
-        gradient_filter, step_sizes, projection, x0, n=n, f=f, telemetry=tel
-    )
-
-    estimates = np.empty((config.iterations + 1, dimension))
-    directions = np.empty((config.iterations, dimension))
+    iterations = config.iterations
+    estimates = np.empty((iterations + 1, dimension))
+    directions = np.empty((iterations, dimension))
     estimates[0] = server.estimate
+
+    start_round = 0
+    # The hex rows of the trajectory already written to a checkpoint.
+    estimate_rows: List[List[str]] = []
+    direction_rows: List[List[str]] = []
+    if config.checkpoint_path:
+        if config.checkpoint_every <= 0:
+            raise InvalidParameterError(
+                f"checkpoint_every must be positive, got {config.checkpoint_every}"
+            )
+        fingerprint = _checkpoint_fingerprint(
+            config, n, f, dimension, faulty_ids, crash_rounds, filter_name,
+            model, adversary,
+        )
+        saved = _load_checkpoint(config.checkpoint_path, fingerprint, iterations)
+        if saved is not None:
+            server.restore(saved["server"])
+            network.restore_state(saved["network"])
+            if adversary is not None and saved["adversary_rng"] is not None:
+                adversary._rng.bit_generator.state = saved["adversary_rng"]
+            for agent_id, crashed in saved["agents"].items():
+                agent = agents.get(int(agent_id))
+                if isinstance(agent, CrashAgent):
+                    agent._crashed = bool(crashed)
+            start_round = int(saved["round"])
+            estimate_rows = saved["estimates"]
+            direction_rows = saved["directions"]
+            estimates[: start_round + 1] = _unhex_matrix(estimate_rows)
+            if start_round:
+                directions[:start_round] = _unhex_matrix(direction_rows)
+            if tel:
+                tel.emit("resume", round=start_round, path=config.checkpoint_path)
 
     start = time.perf_counter()
     with tel.span("run"):
-        for t in range(config.iterations):
+        for t in range(start_round, iterations):
             with tel.span("round"):
                 broadcast = server.make_broadcast()
-                active = set(server.active_agents)
-                delivered = network.broadcast(broadcast, sorted(active))
+                active = server.active_agents
+                delivered = network.broadcast(broadcast, active, t)
                 honest_replies: List[GradientMessage] = []
-                for agent_id in sorted(active & set(agents)):
-                    if agent_id not in delivered:
+                for agent_id in active:
+                    agent = agents.get(agent_id)
+                    # The adversary's copies: delivered to it and never
+                    # answered by an agent.
+                    if agent is None:
                         continue
-                    reply = agents[agent_id].on_estimate(delivered[agent_id])
-                    if reply is not None:
-                        honest_replies.append(reply)
+                    for message in delivered.get(agent_id, ()):
+                        reply = agent.on_estimate(message)
+                        if reply is not None:
+                            honest_replies.append(reply)
+                # Canonical reply order: the adversary's view (and hence
+                # its forgeries) must not depend on delivery shuffling.
+                honest_replies.sort(key=lambda m: (m.round_index, m.sender))
                 forged: List[GradientMessage] = []
                 if adversary is not None:
-                    active_faulty = sorted(active & set(faulty_ids))
+                    active_faulty = sorted(set(active) & set(faulty_ids))
                     if active_faulty:
                         forged = adversary.forge_messages(
                             broadcast, honest_replies, active_faulty=active_faulty
                         )
-                inbound = network.gather(honest_replies + forged, SERVER_ID)
-                server.step(inbound)
+                server.step(network.gather(honest_replies + forged, SERVER_ID, t))
                 estimates[t + 1] = server.estimate
                 directions[t] = server.last_direction
             if round_hook is not None:
                 round_hook(t, server)
+            if config.checkpoint_path and (
+                (t + 1) % config.checkpoint_every == 0 or t + 1 == iterations
+            ):
+                _write_checkpoint(
+                    config.checkpoint_path,
+                    fingerprint,
+                    t + 1,
+                    server,
+                    network,
+                    adversary,
+                    agents,
+                    _extend_hex_rows(estimate_rows, estimates, t + 2),
+                    _extend_hex_rows(direction_rows, directions, t + 1),
+                )
     elapsed = time.perf_counter() - start
 
+    extra: Dict[str, object] = {}
+    if healing:
+        extra["resilience"] = server.resilience_summary()
+        extra["traffic"] = network.traffic_summary()
+        extra["resumed_from_round"] = start_round
+    if config.record_messages:
+        extra["network_log"] = network.log
     return Trace(
         estimates=estimates,
         directions=directions,
@@ -404,11 +490,11 @@ def run_dgd(
         wall_time=elapsed,
         messages_delivered=network.messages_delivered,
         bytes_delivered=network.bytes_delivered,
-        filter_name=getattr(gradient_filter, "name", type(gradient_filter).__name__),
+        filter_name=filter_name,
         crash_ids=sorted(crash_rounds),
         messages_dropped=network.messages_dropped,
         bytes_dropped=network.bytes_dropped,
-        extra={"network_log": network.log} if config.record_messages else {},
+        extra=extra,
     )
 
 
@@ -540,158 +626,3 @@ def _load_checkpoint(path: str, fingerprint: Dict, iterations: int) -> Optional[
         )
         return None
     return payload
-
-
-def _run_partially_synchronous(
-    *,
-    config: DGDConfig,
-    tel,
-    agents: Dict[int, Agent],
-    adversary: Optional[Adversary],
-    faulty_ids: List[int],
-    crash_rounds: Dict[int, int],
-    honest_ids: List[int],
-    gradient_filter: GradientFilter,
-    step_sizes: StepSizeSchedule,
-    projection: ConvexSet,
-    x0: np.ndarray,
-    n: int,
-    f: int,
-    dimension: int,
-    round_hook: Optional[Callable[[int, DGDServer], None]],
-) -> Trace:
-    """The degraded-network execution loop (see :func:`run_dgd`).
-
-    Network fault draws are pure functions of the model seed, the server
-    is the self-healing :class:`ResilientDGDServer` under the model's
-    healing rules, and — when a checkpoint path is configured — the full
-    run state (server, in-flight queue, adversary RNG, crash flags,
-    trajectory prefix) checkpoints atomically and resumes bit-identically.
-    """
-    model = config.fault_model if config.fault_model is not None else NetworkFaultModel()
-    filter_name = getattr(gradient_filter, "name", type(gradient_filter).__name__)
-    network = PartiallySynchronousNetwork(model, log_capacity=config.log_capacity)
-    server = ResilientDGDServer(
-        fixed_filter_factory(gradient_filter),
-        step_sizes,
-        projection,
-        x0,
-        n=n,
-        f=f,
-        telemetry=tel,
-        fault_model=model,
-    )
-
-    iterations = config.iterations
-    estimates = np.empty((iterations + 1, dimension))
-    directions = np.empty((iterations, dimension))
-    estimates[0] = server.estimate
-
-    start_round = 0
-    fingerprint = _checkpoint_fingerprint(
-        config, n, f, dimension, faulty_ids, crash_rounds, filter_name,
-        model, adversary,
-    )
-    # The hex rows of the trajectory already written to a checkpoint.
-    estimate_rows: List[List[str]] = []
-    direction_rows: List[List[str]] = []
-    if config.checkpoint_path:
-        if config.checkpoint_every <= 0:
-            raise InvalidParameterError(
-                f"checkpoint_every must be positive, got {config.checkpoint_every}"
-            )
-        saved = _load_checkpoint(config.checkpoint_path, fingerprint, iterations)
-        if saved is not None:
-            server.restore(saved["server"])
-            network.restore_state(saved["network"])
-            if adversary is not None and saved["adversary_rng"] is not None:
-                adversary._rng.bit_generator.state = saved["adversary_rng"]
-            for agent_id, crashed in saved["agents"].items():
-                agent = agents.get(int(agent_id))
-                if isinstance(agent, CrashAgent):
-                    agent._crashed = bool(crashed)
-            start_round = int(saved["round"])
-            estimate_rows = saved["estimates"]
-            direction_rows = saved["directions"]
-            estimates[: start_round + 1] = _unhex_matrix(estimate_rows)
-            if start_round:
-                directions[:start_round] = _unhex_matrix(direction_rows)
-            if tel:
-                tel.emit("resume", round=start_round, path=config.checkpoint_path)
-
-    start = time.perf_counter()
-    with tel.span("run"):
-        for t in range(start_round, iterations):
-            with tel.span("round"):
-                broadcast = server.make_broadcast()
-                active = set(server.active_agents)
-                for agent_id in sorted(active):
-                    network.submit(broadcast, agent_id, t)
-                honest_replies: List[GradientMessage] = []
-                for agent_id in sorted(active):
-                    if model.profile(agent_id).is_down(t):
-                        continue  # the endpoint is inside its crash window
-                    delivered = network.collect(agent_id, t)
-                    if agent_id not in agents:
-                        # The adversary's copies: delivered to it, as on the
-                        # synchronous network, and never answered by an agent.
-                        continue
-                    for message in delivered:
-                        reply = agents[agent_id].on_estimate(message)
-                        if reply is not None:
-                            honest_replies.append(reply)
-                # Canonical reply order: the adversary's view (and hence
-                # its forgeries) must not depend on delivery shuffling.
-                honest_replies.sort(key=lambda m: (m.round_index, m.sender))
-                forged: List[GradientMessage] = []
-                if adversary is not None:
-                    active_faulty = sorted(active & set(faulty_ids))
-                    if active_faulty:
-                        forged = adversary.forge_messages(
-                            broadcast, honest_replies, active_faulty=active_faulty
-                        )
-                for message in honest_replies + forged:
-                    network.submit(message, SERVER_ID, t)
-                server.step_partial(network.collect(SERVER_ID, t))
-                estimates[t + 1] = server.estimate
-                directions[t] = server.last_direction
-            if round_hook is not None:
-                round_hook(t, server)
-            if config.checkpoint_path and (
-                (t + 1) % config.checkpoint_every == 0 or t + 1 == iterations
-            ):
-                _write_checkpoint(
-                    config.checkpoint_path,
-                    fingerprint,
-                    t + 1,
-                    server,
-                    network,
-                    adversary,
-                    agents,
-                    _extend_hex_rows(estimate_rows, estimates, t + 2),
-                    _extend_hex_rows(direction_rows, directions, t + 1),
-                )
-    elapsed = time.perf_counter() - start
-
-    extra: Dict[str, object] = {
-        "resilience": server.resilience_summary(),
-        "traffic": network.traffic_summary(),
-        "resumed_from_round": start_round,
-    }
-    if config.record_messages:
-        extra["network_log"] = network.log
-    return Trace(
-        estimates=estimates,
-        directions=directions,
-        honest_ids=honest_ids,
-        faulty_ids=faulty_ids,
-        eliminated=server.eliminated_agents,
-        wall_time=elapsed,
-        messages_delivered=network.messages_delivered,
-        bytes_delivered=network.bytes_delivered,
-        filter_name=filter_name,
-        crash_ids=sorted(crash_rounds),
-        messages_dropped=network.messages_dropped,
-        bytes_dropped=network.bytes_dropped,
-        extra=extra,
-    )

@@ -86,7 +86,6 @@ class DGDServer:
         n: int,
         f: int,
         telemetry: TelemetryLike = None,
-        validate_payloads: bool = False,
     ):
         if n <= 0:
             raise InvalidParameterError(f"n must be positive, got {n}")
@@ -104,12 +103,6 @@ class DGDServer:
         self._eliminated: List[int] = []
         self._last_direction: Optional[np.ndarray] = None
         self._telemetry = ensure_telemetry(telemetry)
-        #: When set, :meth:`step` rejects wrong-shaped or non-finite
-        #: gradient payloads with :class:`ProtocolViolationError` instead
-        #: of letting ``GradientFilter.sanitize`` absorb them. Off by
-        #: default: the synchronous model treats malformed payloads as
-        #: ordinary Byzantine outliers.
-        self.validate_payloads = bool(validate_payloads)
 
     @classmethod
     def with_fixed_filter(
@@ -219,7 +212,9 @@ class DGDServer:
         """Run one full iteration from the received gradient messages.
 
         Performs elimination (S1) then the filtered update (S2) and
-        advances the round counter. Returns the new estimate.
+        advances the round counter. Returns the new estimate. Malformed
+        payloads are ordinary Byzantine outliers here, left to
+        ``GradientFilter.sanitize``.
         """
         for message in messages:
             if message.round_index != self._round:
@@ -231,8 +226,6 @@ class DGDServer:
                 raise ProtocolViolationError(
                     f"message from inactive agent {message.sender}"
                 )
-            if self.validate_payloads:
-                message.validate(self._estimate.shape[0])
         by_sender: Dict[int, GradientMessage] = {}
         for message in messages:
             if message.sender in by_sender:

@@ -32,7 +32,7 @@ from repro.system.messages import GradientMessage
 from repro.system.netfaults import FaultProfile, NetworkFaultModel
 from repro.system.peer_to_peer import run_peer_to_peer_dgd
 from repro.system.runner import run_dgd
-from repro.system.server import DGDServer, fixed_filter_factory
+from repro.system.server import fixed_filter_factory
 from repro.utils.atomicio import read_json_checked
 
 
@@ -482,26 +482,6 @@ class TestResilientServerUnits:
     def test_liveness_is_tracked_only_where_silence_does_not_eliminate(self):
         assert self._server().liveness is None
         assert self._server(LOSSY).liveness.num_edges == 4
-
-    def test_validate_payloads_flag_on_synchronous_server(self):
-        from repro.optimization.projections import BoxSet
-        from repro.optimization.step_sizes import DiminishingStepSize
-
-        server = DGDServer.with_fixed_filter(
-            make_filter("cge", f=1),
-            DiminishingStepSize(c=0.1),
-            BoxSet.centered(2, 10.0),
-            np.zeros(2),
-            n=2,
-            f=1,
-        )
-        server.validate_payloads = True
-        bad = [
-            self._msg(0, 0, [np.nan, 0.0]),
-            self._msg(1, 0, [1.0, 0.0]),
-        ]
-        with pytest.raises(ProtocolViolationError):
-            server.step(bad)
 
     def test_checkpoint_restore_round_trip(self):
         server = self._server(DELAYED)
