@@ -41,6 +41,10 @@ Commands
     job / 2 usage-or-unreachable).
 ``list``
     Show the registered gradient filters, attacks, and experiments.
+
+Every command ends on a library error
+(:class:`~repro.exceptions.ReproError`) the same way: ``error: <message>``
+on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -60,6 +64,13 @@ from repro.analysis.reporting import format_table
 from repro.analysis.serialization import experiment_to_csv, save_experiment
 from repro.attacks.registry import available_attacks, buildable_attacks, make_attack
 from repro.core.redundancy import measure_redundancy_margin
+from repro.exceptions import (
+    AdmissionRejectedError,
+    BenchSchemaError,
+    InvalidParameterError,
+    ReproError,
+    TopologyInfeasibilityError,
+)
 from repro.problems.linear_regression import make_redundant_regression
 from repro.system.runner import run_dgd
 from repro.system.topology import available_topologies
@@ -635,9 +646,14 @@ def _command_experiment(args) -> int:
 def _parse_crash_recover(spec: str):
     """Parse ``ID:CRASH[:RECOVER]`` into ``(id, crash, recover_or_None)``."""
     parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"--crash-recover expects ID:CRASH[:RECOVER], got {spec!r}")
-    values = [int(p) for p in parts]
+    try:
+        if len(parts) not in (2, 3):
+            raise ValueError
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise InvalidParameterError(
+            f"--crash-recover expects ID:CRASH[:RECOVER], got {spec!r}"
+        ) from None
     return values[0], values[1], values[2] if len(values) == 3 else None
 
 
@@ -664,7 +680,7 @@ def _build_fault_model(args, n: int):
         profiles.update({i: base for i in range(n)})
     if args.stragglers:
         if args.stragglers < 0 or args.stragglers > n - args.f:
-            raise ValueError(
+            raise InvalidParameterError(
                 f"--stragglers must lie in [0, {n - args.f}] "
                 f"(honest agents), got {args.stragglers}"
             )
@@ -679,7 +695,9 @@ def _build_fault_model(args, n: int):
     if args.crash_recover:
         agent_id, crash, recover = _parse_crash_recover(args.crash_recover)
         if agent_id < 0 or agent_id >= n:
-            raise ValueError(f"--crash-recover agent id {agent_id} out of range")
+            raise InvalidParameterError(
+                f"--crash-recover agent id {agent_id} out of range"
+            )
         from dataclasses import replace
 
         profiles[agent_id] = replace(
@@ -692,7 +710,6 @@ def _build_fault_model(args, n: int):
 
 def _command_run_decentralized(args) -> int:
     """``repro run --architecture decentralized``: sparse-topology DGD."""
-    from repro.exceptions import ReproError, TopologyInfeasibilityError
     from repro.experiments.topology_resilience import (
         _spread_faulty,
         full_local_rank_costs,
@@ -710,25 +727,17 @@ def _command_run_decentralized(args) -> int:
         ) if value
     ]
     if unsupported:
-        print(
-            f"error: {', '.join(unsupported)} not supported with "
+        raise InvalidParameterError(
+            f"{', '.join(unsupported)} not supported with "
             "--architecture decentralized (link faults cover "
-            "drops/delay/corruption; churn/partitions have no flag yet)",
-            file=sys.stderr,
+            "drops/delay/corruption; churn/partitions have no flag yet)"
         )
-        return 2
     params = {}
     if args.topology == "ring":
         params["hops"] = args.hops
     elif args.topology == "random-regular":
         params["degree"] = args.degree
-    try:
-        topology = make_topology(
-            args.topology, args.n, seed=args.topology_seed, **params
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    topology = make_topology(args.topology, args.n, seed=args.topology_seed, **params)
     costs, x_star = full_local_rank_costs(args.n, args.d, instance_seed=args.seed)
     faulty = _spread_faulty(args.n, args.f)
     behavior = make_attack(args.attack) if faulty else None
@@ -805,8 +814,6 @@ def _command_run_decentralized(args) -> int:
 
 
 def _command_run(args) -> int:
-    from repro.exceptions import InvalidParameterError
-
     if args.architecture == "decentralized":
         return _command_run_decentralized(args)
     instance = make_redundant_regression(
@@ -816,15 +823,11 @@ def _command_run(args) -> int:
     honest = [i for i in range(args.n) if i not in faulty]
     x_H = instance.honest_minimizer(honest)
     behavior = make_attack(args.attack) if faulty else None
-    try:
-        fault_model = _build_fault_model(args, args.n)
-        if args.checkpoint_every <= 0:
-            raise ValueError(
-                f"--checkpoint-every must be positive, got {args.checkpoint_every}"
-            )
-    except (ValueError, InvalidParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fault_model = _build_fault_model(args, args.n)
+    if args.checkpoint_every <= 0:
+        raise InvalidParameterError(
+            f"--checkpoint-every must be positive, got {args.checkpoint_every}"
+        )
     telemetry = None
     if args.telemetry:
         from repro.observability import Telemetry
@@ -932,8 +935,7 @@ def _command_profile(args) -> int:
     from repro.utils.rng import derive_seed, spawn_rngs
 
     if args.runs <= 0:
-        print("error: --runs must be positive", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("--runs must be positive")
     instance = make_redundant_regression(
         n=args.n, d=args.d, f=args.f, noise_std=args.noise, seed=args.seed
     )
@@ -999,13 +1001,12 @@ def _command_redundancy(args) -> int:
 
 
 def _command_sweep(args) -> int:
-    from repro.exceptions import InvalidParameterError
     from repro.experiments.sweep import RegressionGrid, SweepEngine, summarize_grid
 
     if args.resume and args.cache_dir is None:
-        print("error: --resume requires --cache-dir (nothing to resume from)",
-              file=sys.stderr)
-        return 2
+        raise InvalidParameterError(
+            "--resume requires --cache-dir (nothing to resume from)"
+        )
     grid = RegressionGrid(
         filters=tuple(args.filters),
         attacks=tuple(args.attacks),
@@ -1017,19 +1018,15 @@ def _command_sweep(args) -> int:
         noise_std=args.noise,
         iterations=args.iterations,
     )
-    try:
-        engine = SweepEngine(
-            parallel=not args.sequential,
-            max_workers=args.workers,
-            cache_dir=args.cache_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            events=args.events,
-            telemetry_dir=args.telemetry,
-        )
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    engine = SweepEngine(
+        parallel=not args.sequential,
+        max_workers=args.workers,
+        cache_dir=args.cache_dir,
+        timeout=args.timeout,
+        retries=args.retries,
+        events=args.events,
+        telemetry_dir=args.telemetry,
+    )
     cells = engine.resume(grid) if args.resume else engine.run_regression_grid(grid)
     print(summarize_grid(cells).render())
     cached = sum(cell.cached for cell in cells)
@@ -1052,9 +1049,8 @@ def _select_benches(args) -> List[str]:
     """Resolve the names/--all/--tag selection flags against the registry.
 
     Raises :class:`~repro.exceptions.InvalidParameterError` for an empty
-    or unknown selection (mapped to exit code 2 by the handlers).
+    or unknown selection (exit code 2, through :func:`main`).
     """
-    from repro.exceptions import InvalidParameterError
     from repro.observability.perf import (
         available_benches,
         get_bench,
@@ -1097,7 +1093,6 @@ def _build_policy(args):
 
 
 def _command_bench(args) -> int:
-    from repro.exceptions import BenchSchemaError, InvalidParameterError, ReproError
     from repro.observability.perf import (
         BaselineStore,
         available_benches,
@@ -1122,22 +1117,16 @@ def _command_bench(args) -> int:
                 spec.description or "-",
             ])
         if not rows:
-            print(f"error: no benches carry tag {args.tag!r}", file=sys.stderr)
-            return 2
+            raise InvalidParameterError(f"no benches carry tag {args.tag!r}")
         print(format_table(["bench", "tags", "description"], rows,
                            title="registered benchmarks"))
         return 0
 
-    try:
-        names = _select_benches(args)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    names = _select_benches(args)
 
     if args.bench_command == "run":
         if args.repeats < 1:
-            print("error: --repeats must be >= 1", file=sys.stderr)
-            return 2
+            raise InvalidParameterError("--repeats must be >= 1")
         for name in names:
             outcome = run_registered(
                 name,
@@ -1174,8 +1163,7 @@ def _command_bench(args) -> int:
 
     # gate: run fresh, then compare.
     if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("--repeats must be >= 1")
     comparisons = []
     for name in names:
         outcome = run_registered(
@@ -1226,7 +1214,6 @@ def _format_leaderboard(payload) -> str:
 
 def _load_artifact_or_none(path: str):
     """Load + validate a tournament artifact; print the error on failure."""
-    from repro.exceptions import ReproError
     from repro.experiments.tournament import load_tournament_artifact
 
     try:
@@ -1238,7 +1225,6 @@ def _load_artifact_or_none(path: str):
 
 
 def _command_tournament(args) -> int:
-    from repro.exceptions import InvalidParameterError
     from repro.experiments.sweep import SweepEngine
     from repro.experiments.tournament import (
         TournamentConfig,
@@ -1289,49 +1275,43 @@ def _command_tournament(args) -> int:
 
     # run
     if args.resume and args.cache_dir is None:
-        print("error: --resume requires --cache-dir (nothing to resume from)",
-              file=sys.stderr)
-        return 2
+        raise InvalidParameterError(
+            "--resume requires --cache-dir (nothing to resume from)"
+        )
     bank = default_attack_bank()
     if args.attacks is not None:
         by_name = {spec.name: spec for spec in bank}
         unknown = [name for name in args.attacks if name not in by_name]
         if unknown:
-            print(
-                f"error: unknown bank attack(s) {', '.join(unknown)}; "
-                f"available: {', '.join(sorted(by_name))}",
-                file=sys.stderr,
+            raise InvalidParameterError(
+                f"unknown bank attack(s) {', '.join(unknown)}; "
+                f"available: {', '.join(sorted(by_name))}"
             )
-            return 2
         bank = tuple(by_name[name] for name in args.attacks)
-    try:
-        config = TournamentConfig(
-            name=args.name,
-            filters=tuple(args.filters) if args.filters else (),
-            attacks=bank,
-            rounds=args.rounds,
-            num_seeds=args.num_seeds,
-            master_seed=args.master_seed,
-            n=args.n,
-            d=args.d,
-            f=args.f,
-            noise_std=args.noise,
-            iterations=args.iterations,
-            win_threshold=args.win_threshold,
-            loss_threshold=args.loss_threshold,
-        )
-        engine = SweepEngine(
-            parallel=not args.sequential,
-            max_workers=args.workers,
-            cache_dir=args.cache_dir,
-            events=args.events,
-        )
-        if args.resume:
-            engine.events.emit("resume", kind="tournament", name=args.name)
-        payload = run_tournament(config, engine)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = TournamentConfig(
+        name=args.name,
+        filters=tuple(args.filters) if args.filters else (),
+        attacks=bank,
+        rounds=args.rounds,
+        num_seeds=args.num_seeds,
+        master_seed=args.master_seed,
+        n=args.n,
+        d=args.d,
+        f=args.f,
+        noise_std=args.noise,
+        iterations=args.iterations,
+        win_threshold=args.win_threshold,
+        loss_threshold=args.loss_threshold,
+    )
+    engine = SweepEngine(
+        parallel=not args.sequential,
+        max_workers=args.workers,
+        cache_dir=args.cache_dir,
+        events=args.events,
+    )
+    if args.resume:
+        engine.events.emit("resume", kind="tournament", name=args.name)
+    payload = run_tournament(config, engine)
     path = write_tournament_artifact(payload, args.out_dir)
     print(_format_leaderboard(payload))
     execution = payload["execution"]
@@ -1358,18 +1338,13 @@ def _command_trace(args) -> int:
 
 
 def _command_trace_export(args) -> int:
-    from repro.exceptions import InvalidParameterError
     from repro.observability.perf import (
         collect_trace_records,
         write_chrome_trace,
     )
 
-    try:
-        records = collect_trace_records(args.path)
-        document = write_chrome_trace(args.output, records)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = collect_trace_records(args.path)
+    document = write_chrome_trace(args.output, records)
     events = [e for e in document["traceEvents"] if e.get("ph") == "X"]
     if not events:
         print("no traced spans found (was tracing enabled?)",
@@ -1381,35 +1356,23 @@ def _command_trace_export(args) -> int:
 
 
 def _command_trace_flame(args) -> int:
-    from repro.exceptions import InvalidParameterError
     from repro.observability.perf import (
         build_span_tree,
         collect_trace_records,
         render_flame,
     )
 
-    try:
-        roots = build_span_tree(collect_trace_records(args.path))
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_flame(roots))
+    print(render_flame(build_span_tree(collect_trace_records(args.path))))
     return 0
 
 
 def _command_trace_report(args) -> int:
-    from repro.exceptions import InvalidParameterError
     from repro.observability import write_summary_atomic
     from repro.observability.perf import analyze_trace_path
 
     if args.windows < 1:
-        print("error: --windows must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        reports = analyze_trace_path(args.path, windows=args.windows)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("--windows must be >= 1")
+    reports = analyze_trace_path(args.path, windows=args.windows)
     for report in reports:
         print(report.render())
         print()
@@ -1436,27 +1399,22 @@ def _command_serve(args) -> int:
     """Run the long-lived aggregation service until interrupted."""
     import asyncio
 
-    from repro.exceptions import InvalidParameterError
     from repro.service import ReproService, ServiceConfig
 
-    try:
-        config = ServiceConfig(
-            state_dir=args.state_dir,
-            socket_path=args.socket,
-            host=args.host,
-            port=args.port,
-            job_slots=args.job_slots,
-            pool_workers=args.pool_workers,
-            max_queue=args.max_queue,
-            per_client=args.per_client,
-            parallel=not args.sequential,
-            timeout=args.timeout,
-            retries=args.retries,
-            job_ttl=args.job_ttl,
-        )
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ServiceConfig(
+        state_dir=args.state_dir,
+        socket_path=args.socket,
+        host=args.host,
+        port=args.port,
+        job_slots=args.job_slots,
+        pool_workers=args.pool_workers,
+        max_queue=args.max_queue,
+        per_client=args.per_client,
+        parallel=not args.sequential,
+        timeout=args.timeout,
+        retries=args.retries,
+        job_ttl=args.job_ttl,
+    )
     service = ReproService(config)
     target = config.socket_path or f"{config.host}:{config.port}"
     print(f"repro serve: state in {config.state_dir}, listening on {target}",
@@ -1468,25 +1426,11 @@ def _command_serve(args) -> int:
     return 0
 
 
-def _service_client(args):
-    """Build a :class:`ServiceClient` from endpoint flags, or ``None``."""
-    from repro.service import ServiceClient
-
-    try:
-        return ServiceClient(socket_path=args.socket, host=args.host,
-                             port=args.port)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def _command_submit(args) -> int:
     """Submit one job; exit 0 accepted / 1 rejected or failed / 2 usage."""
-    from repro.exceptions import AdmissionRejectedError, ServiceError
+    from repro.service import ServiceClient
 
-    client = _service_client(args)
-    if client is None:
-        return 2
+    client = ServiceClient(socket_path=args.socket, host=args.host, port=args.port)
     if args.submit_command == "sweep":
         kind, params = "sweep", {
             "filters": args.filters,
@@ -1521,19 +1465,12 @@ def _command_submit(args) -> int:
               f"[limit {exc.limit}, queue depth {exc.queue_depth}]",
               file=sys.stderr)
         return 1
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"accepted {record['job_id']} ({kind}, "
           f"priority {record['spec']['priority']}, "
           f"trace {record['trace_id']})")
     if not args.wait:
         return 0
-    try:
-        final = client.wait(record["job_id"], timeout=args.wait_timeout)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    final = client.wait(record["job_id"], timeout=args.wait_timeout)
     print(f"{final['job_id']}: {final['state']}"
           + (f" — {final['error']}" if final.get("error") else ""))
     if final["state"] != "done":
@@ -1545,58 +1482,52 @@ def _command_submit(args) -> int:
 
 def _command_status(args) -> int:
     """Inspect the server's job table; exit codes follow ``submit``."""
-    from repro.exceptions import ServiceError
+    from repro.service import ServiceClient
 
-    client = _service_client(args)
-    if client is None:
-        return 2
-    try:
-        if args.job_id is None:
-            health = client.healthz()
-            stats = client.stats()
-            cache = stats.get("cache", {})
-            pool = stats.get("pool", {})
-            ratio = cache.get("hit_ratio")
-            print(
-                f"up {health.get('uptime', 0.0):.0f}s | "
-                f"queue depth {stats.get('queue', {}).get('depth', 0)} | "
-                f"pool workers {pool.get('live_workers', 0)} live, "
-                f"{pool.get('rebuilds', 0)} rebuild(s) | "
-                f"cache {cache.get('cells', 0)} cell(s), "
-                + ("hit ratio n/a" if ratio is None
-                   else f"hit ratio {ratio:.0%}")
-            )
-            rows = [
-                [record["job_id"], record["spec"]["kind"],
-                 record["spec"]["client"], str(record["spec"]["priority"]),
-                 record["state"], str(record["attempts"]),
-                 record.get("error") or ""]
-                for record in client.jobs()
-            ]
-            print(format_table(
-                ["job", "kind", "client", "prio", "state", "attempts",
-                 "error"], rows))
-            return 0
-        if args.events:
-            try:
-                for event in client.events(args.job_id, follow=args.follow):
-                    print(json.dumps(event, sort_keys=True), flush=True)
-            except BrokenPipeError:
-                # downstream consumer (e.g. ``| head``) closed the pipe;
-                # swallow the write error and suppress the one the
-                # interpreter would raise flushing stdout at exit
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
-        if args.result:
-            print(json.dumps(client.result(args.job_id), indent=2,
-                             sort_keys=True))
-            return 0
-        record = client.job(args.job_id)
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0 if record["state"] != "failed" else 1
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    client = ServiceClient(socket_path=args.socket, host=args.host, port=args.port)
+    if args.job_id is None:
+        health = client.healthz()
+        stats = client.stats()
+        cache = stats.get("cache", {})
+        pool = stats.get("pool", {})
+        ratio = cache.get("hit_ratio")
+        print(
+            f"up {health.get('uptime', 0.0):.0f}s | "
+            f"queue depth {stats.get('queue', {}).get('depth', 0)} | "
+            f"pool workers {pool.get('live_workers', 0)} live, "
+            f"{pool.get('rebuilds', 0)} rebuild(s) | "
+            f"cache {cache.get('cells', 0)} cell(s), "
+            + ("hit ratio n/a" if ratio is None
+               else f"hit ratio {ratio:.0%}")
+        )
+        rows = [
+            [record["job_id"], record["spec"]["kind"],
+             record["spec"]["client"], str(record["spec"]["priority"]),
+             record["state"], str(record["attempts"]),
+             record.get("error") or ""]
+            for record in client.jobs()
+        ]
+        print(format_table(
+            ["job", "kind", "client", "prio", "state", "attempts",
+             "error"], rows))
+        return 0
+    if args.events:
+        try:
+            for event in client.events(args.job_id, follow=args.follow):
+                print(json.dumps(event, sort_keys=True), flush=True)
+        except BrokenPipeError:
+            # downstream consumer (e.g. ``| head``) closed the pipe;
+            # swallow the write error and suppress the one the
+            # interpreter would raise flushing stdout at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    if args.result:
+        print(json.dumps(client.result(args.job_id), indent=2,
+                         sort_keys=True))
+        return 0
+    record = client.job(args.job_id)
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return 0 if record["state"] != "failed" else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1616,7 +1547,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "status": _command_status,
         "list": _command_list,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -107,6 +107,22 @@ def design_rows(n: int, d: int) -> np.ndarray:
     return A / norms
 
 
+def check_regression_parameters(n: int, d: int, f: int, noise_std: float = 0.0) -> None:
+    """Reject ``(n, d, f, noise_std)`` no redundant regression instance has.
+
+    The checks :func:`make_redundant_regression` makes before building
+    anything: ``2f < n``, ``n − 2f >= d`` and ``noise_std >= 0``. They are
+    comparisons only, so the service runs them on every job submission.
+    """
+    check_fault_bound(n, f)
+    if n - 2 * f < d:
+        raise InvalidParameterError(
+            f"2f-redundancy needs n - 2f >= d; got n={n}, f={f}, d={d}"
+        )
+    if noise_std < 0:
+        raise InvalidParameterError(f"noise_std must be non-negative, got {noise_std}")
+
+
 def make_redundant_regression(
     n: int,
     d: int,
@@ -133,13 +149,7 @@ def make_redundant_regression(
         for small ``n``; disable for very large sweeps where the Vandermonde
         guarantee is trusted).
     """
-    check_fault_bound(n, f)
-    if n - 2 * f < d:
-        raise InvalidParameterError(
-            f"2f-redundancy needs n - 2f >= d; got n={n}, f={f}, d={d}"
-        )
-    if noise_std < 0:
-        raise InvalidParameterError(f"noise_std must be non-negative, got {noise_std}")
+    check_regression_parameters(n, d, f, noise_std)
     x_star = (
         np.ones(d) if x_star is None else check_vector(x_star, dimension=d, name="x_star")
     )

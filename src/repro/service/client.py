@@ -20,7 +20,7 @@ import socket
 import time
 from typing import Dict, Iterator, List, Optional
 
-from repro.exceptions import AdmissionRejectedError, ServiceError
+from repro.exceptions import AdmissionRejectedError, InvalidParameterError, ServiceError
 
 __all__ = ["ServiceClient"]
 
@@ -51,9 +51,9 @@ class ServiceClient:
         timeout: float = 30.0,
     ):
         if socket_path and (host or port):
-            raise ValueError("give a socket path or host/port, not both")
+            raise InvalidParameterError("give a socket path or host/port, not both")
         if not socket_path and not (host and port):
-            raise ValueError("give a socket path or both host and port")
+            raise InvalidParameterError("give a socket path or both host and port")
         self.socket_path = socket_path
         self.host = host
         self.port = port

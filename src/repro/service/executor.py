@@ -39,7 +39,7 @@ from repro.exceptions import InvalidParameterError
 from repro.experiments.sweep import SharedProcessPool, SweepEngine
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceContext
-from repro.service.jobs import JobRecord, JobStore, grid_from_params
+from repro.service.jobs import RUN_DEFAULTS, JobRecord, JobStore, grid_from_params
 
 __all__ = ["JobExecutor"]
 
@@ -245,15 +245,15 @@ class JobExecutor:
         from repro.problems.linear_regression import make_redundant_regression
         from repro.system.runner import run_dgd
 
-        params = dict(record.spec.params)
-        n = int(params.get("n", 6))
-        d = int(params.get("d", 2))
-        f = int(params.get("f", 1))
-        noise_std = float(params.get("noise_std", 0.02))
-        filter_name = params.get("filter", "cge")
-        attack_name = params.get("attack", "gradient-reverse")
-        iterations = int(params.get("iterations", 500))
-        seed = int(params.get("seed", 0))
+        params = {**RUN_DEFAULTS, **record.spec.params}
+        n = int(params["n"])
+        d = int(params["d"])
+        f = int(params["f"])
+        noise_std = float(params["noise_std"])
+        filter_name = params["filter"]
+        attack_name = params["attack"]
+        iterations = int(params["iterations"])
+        seed = int(params["seed"])
 
         instance = make_redundant_regression(
             n=n, d=d, f=f, noise_std=noise_std, seed=seed

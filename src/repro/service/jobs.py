@@ -21,13 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.exceptions import InvalidParameterError, ReproError
+from repro.exceptions import (
+    InfeasibleConfigurationError,
+    InvalidParameterError,
+    ReproError,
+)
 from repro.utils.atomicio import read_json_dict_checked, write_json_atomic
 
 __all__ = [
@@ -54,8 +59,11 @@ _SWEEP_KEYS = {
     "n", "d", "redundancy_f", "noise_std", "instance_seed", "iterations",
     "x0", "telemetry",
 }
-#: Parameters a ``run`` job may set.
-_RUN_KEYS = {"n", "d", "f", "noise_std", "filter", "attack", "iterations", "seed"}
+#: Parameters a ``run`` job may set, with the defaults the executor uses.
+RUN_DEFAULTS = {
+    "n": 6, "d": 2, "f": 1, "noise_std": 0.02, "filter": "cge",
+    "attack": "gradient-reverse", "iterations": 500, "seed": 0,
+}
 #: Parameters a ``bench`` job may set.
 _BENCH_KEYS = {"name", "repeats"}
 
@@ -119,6 +127,21 @@ def _require_name_list(params: Dict, key: str, available, kind: str) -> None:
     params[key] = [str(v) for v in values]
 
 
+def _check_instance(n: int, d: int, f: int, noise_std: float) -> None:
+    """Reject a job whose regression instance cannot be built.
+
+    Runs the generator's own parameter checks (comparisons only; nothing
+    is built), so such a job gets a 400 instead of failing in the
+    executor.
+    """
+    from repro.problems.linear_regression import check_regression_parameters
+
+    try:
+        check_regression_parameters(n, d, f, noise_std)
+    except InfeasibleConfigurationError as exc:
+        raise InvalidParameterError(str(exc)) from exc
+
+
 def _validate_sweep_params(params: Dict) -> None:
     from repro.aggregators.registry import available_filters
     from repro.attacks.registry import buildable_attacks
@@ -147,13 +170,22 @@ def _validate_sweep_params(params: Dict) -> None:
         _require_int(params, "redundancy_f", 1)
     if "noise_std" in params:
         _require_number(params, "noise_std")
-    if "x0" in params and params["x0"] is not None:
-        if not isinstance(params["x0"], (list, tuple)):
-            raise InvalidParameterError(
-                "job parameter 'x0' must be a list of numbers"
-            )
+    x0 = params.get("x0")
+    if x0 is not None and (not isinstance(x0, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float))
+        or not math.isfinite(v) for v in x0
+    )):
+        raise InvalidParameterError(
+            "job parameter 'x0' must be a list of finite numbers"
+        )
     if "telemetry" in params and not isinstance(params["telemetry"], bool):
         raise InvalidParameterError("job parameter 'telemetry' must be a bool")
+    grid = grid_from_params(params)
+    _check_instance(grid.n, grid.d, grid.resolved_redundancy_f(), grid.noise_std)
+    if grid.x0 is not None and len(grid.x0) != grid.d:
+        raise InvalidParameterError(
+            f"job parameter 'x0' must hold d={grid.d} numbers, got {len(grid.x0)}"
+        )
 
 
 def _validate_run_params(params: Dict) -> None:
@@ -179,6 +211,8 @@ def _validate_run_params(params: Dict) -> None:
             f"unknown attack {params['attack']!r}; "
             f"available: {', '.join(buildable_attacks())}"
         )
+    resolved = {**RUN_DEFAULTS, **params}
+    _check_instance(resolved["n"], resolved["d"], resolved["f"], resolved["noise_std"])
 
 
 def _validate_bench_params(params: Dict) -> None:
@@ -197,7 +231,8 @@ def validate_job_spec(payload: Dict) -> JobSpec:
 
     Raises :class:`~repro.exceptions.InvalidParameterError` — mapped to an
     HTTP 400 by the server — on an unknown kind, unknown parameter keys,
-    ill-typed values, or unregistered filter/attack/bench names.
+    ill-typed values, unregistered filter/attack/bench names, or a run or
+    sweep whose regression instance (or sweep ``x0``) cannot exist.
     """
     if not isinstance(payload, dict):
         raise InvalidParameterError("job submission must be a JSON object")
@@ -210,7 +245,7 @@ def validate_job_spec(payload: Dict) -> JobSpec:
     if not isinstance(params, dict):
         raise InvalidParameterError("job 'params' must be a JSON object")
     params = dict(params)
-    allowed = {"run": _RUN_KEYS, "sweep": _SWEEP_KEYS, "bench": _BENCH_KEYS}[kind]
+    allowed = {"run": set(RUN_DEFAULTS), "sweep": _SWEEP_KEYS, "bench": _BENCH_KEYS}[kind]
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise InvalidParameterError(

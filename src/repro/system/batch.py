@@ -327,7 +327,7 @@ def run_dgd_batch(
         adversary_rngs.append(adversary_rng)
 
     step_sizes, projection, x0 = _schedule_projection_start(
-        costs, config, gradient_filter, dimension
+        costs, dimension, gradient_filter, config.step_sizes, config.projection, config.x0
     )
     project_batch = numpy_batch_projector(projection)
     x0 = projection.project(x0)

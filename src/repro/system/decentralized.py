@@ -83,17 +83,14 @@ from repro.attacks.base import AttackContext, ByzantineBehavior
 from repro.exceptions import InvalidParameterError
 from repro.observability import TelemetryLike, ensure_telemetry
 from repro.optimization.cost_functions import CostFunction, QuadraticCost
-from repro.optimization.projections import (
-    BoxSet,
-    ConvexSet,
-    numpy_batch_projector,
-)
-from repro.optimization.step_sizes import StepSizeSchedule, suggest_diminishing
+from repro.optimization.projections import ConvexSet, numpy_batch_projector
+from repro.optimization.step_sizes import StepSizeSchedule
 from repro.system.healing import NeighborhoodLiveness
 from repro.system.netfaults import LinkFaultModel, corrupt_payload_rows
+from repro.system.runner import _check_run_inputs, _schedule_projection_start
 from repro.system.topology import Topology
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import check_vector
+from repro.utils.validation import check_matrix, check_vector
 
 __all__ = [
     "DECENTRALIZED_AGGREGATIONS",
@@ -267,6 +264,13 @@ def run_decentralized_dgd(
         ``faulty_ids`` (each agent budgets exactly the Byzantine agents in
         its neighborhood), an int applies uniformly, a length-``n``
         sequence is taken per agent.
+    iterations:
+        Number of rounds ``T``, a non-negative integer (``0`` records
+        ``x0`` only).
+    step_sizes / projection:
+        As for :func:`~repro.system.runner.run_dgd`, with the same checks
+        and warnings; the default schedule is mean-scale (the mix is an
+        average) and the default ``W`` is the engines' common box.
     x0:
         Common ``(d,)`` start, per-agent ``(n, d)`` starts, or ``None``
         for zeros.
@@ -293,16 +297,7 @@ def run_decentralized_dgd(
             f"aggregation must be one of {DECENTRALIZED_AGGREGATIONS}, "
             f"got {aggregation!r}"
         )
-    if iterations <= 0:
-        raise InvalidParameterError(f"iterations must be positive, got {iterations}")
-    faulty = sorted(set(int(i) for i in faulty_ids))
-    if any(i < 0 or i >= n for i in faulty):
-        raise InvalidParameterError(
-            f"faulty_ids must lie in [0, {n}), got {faulty}"
-        )
-    if faulty and behavior is None:
-        raise InvalidParameterError("faulty agents configured but no behavior given")
-    dimension = costs[0].dimension
+    costs, dimension, faulty = _check_run_inputs(costs, behavior, iterations, faulty_ids)
     budgets = topology.resolve_budgets(local_budgets, faulty)
     if validate_feasibility and aggregation != "mean":
         topology.check_local_redundancy(budgets)
@@ -313,23 +308,15 @@ def run_decentralized_dgd(
     honest_arr = np.array(honest, dtype=np.int64)
     faulty_arr = np.array(faulty, dtype=np.int64)
     rng = ensure_rng(seed)
-    schedule = step_sizes or suggest_diminishing(costs, aggregation="mean")
-    constraint = projection or BoxSet.centered(dimension, 1000.0)
+    per_agent_x0 = x0 is not None and np.ndim(x0) == 2
+    schedule, constraint, start = _schedule_projection_start(
+        costs, dimension, None, step_sizes, projection, None if per_agent_x0 else x0
+    )
     project_rows = numpy_batch_projector(constraint)
-
-    if x0 is None:
-        X = np.zeros((n, dimension))
+    if per_agent_x0:
+        X = check_matrix(x0, rows=n, cols=dimension, name="x0").copy()
     else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape == (dimension,):
-            X = np.broadcast_to(x0, (n, dimension)).copy()
-        elif x0.shape == (n, dimension):
-            X = x0.copy()
-        else:
-            raise InvalidParameterError(
-                f"x0 must have shape ({dimension},) or ({n}, {dimension}), "
-                f"got {x0.shape}"
-            )
+        X = np.broadcast_to(start, (n, dimension)).copy()
     X = project_rows(X)
 
     model = link_faults

@@ -19,14 +19,16 @@ import numpy as np
 
 from repro.aggregators.base import GradientFilter
 from repro.attacks.base import AttackContext, ByzantineBehavior
-from repro.exceptions import InvalidParameterError, ProtocolViolationError
+from repro.exceptions import ProtocolViolationError
 from repro.observability import TelemetryLike, ensure_telemetry
 from repro.optimization.cost_functions import CostFunction
-from repro.optimization.projections import BoxSet, ConvexSet
+from repro.optimization.projections import ConvexSet
 from repro.optimization.step_sizes import StepSizeSchedule
 from repro.system.broadcast import EquivocatingSender, byzantine_broadcast
 from repro.system.faultinjection import KeyedDraws
 from repro.system.netfaults import NetworkFaultModel, corrupt_gradient
+from repro.system.runner import _check_run_inputs, _schedule_projection_start
+from repro.system.server import record_filter_round
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_fault_bound, check_vector
 
@@ -171,6 +173,13 @@ def run_peer_to_peer_dgd(
         The deterministic filter every honest agent applies locally.
     faulty_ids / behavior:
         Byzantine agents and their gradient-forging strategy.
+    iterations:
+        Number of rounds ``T``, a non-negative integer (``0`` records
+        ``x0`` only).
+    step_sizes / projection / x0 / seed:
+        As for :func:`~repro.system.runner.run_dgd`, with the same
+        defaults, checks and warnings; ``seed`` seeds the adversary and
+        the broadcast simulation.
     equivocate:
         When ``True``, faulty broadcasters additionally *equivocate* inside
         the broadcast primitive (sending different vectors to different
@@ -197,28 +206,14 @@ def run_peer_to_peer_dgd(
         and, when the model corrupts, quarantines non-finite agreed values
         at the message boundary.
     """
-    costs = list(costs)
+    costs, dimension, faulty = _check_run_inputs(costs, behavior, iterations, faulty_ids)
     n = len(costs)
-    faulty = sorted(set(int(i) for i in faulty_ids))
-    if any(i < 0 or i >= n for i in faulty):
-        raise InvalidParameterError(
-            f"faulty_ids must lie in [0, {n}), got {faulty}"
-        )
     f = len(faulty)
     check_fault_bound(n, f, architecture="peer")
-    if faulty and behavior is None:
-        raise InvalidParameterError("faulty agents configured but no behavior given")
-    if iterations <= 0:
-        raise InvalidParameterError(f"iterations must be positive, got {iterations}")
-    dimension = costs[0].dimension
     honest = [i for i in range(n) if i not in faulty]
     rng = ensure_rng(seed)
-    from repro.system.runner import _default_schedule
-
-    schedule = step_sizes or _default_schedule(costs, gradient_filter)
-    constraint = projection or BoxSet.centered(dimension, 1000.0)
-    start_point = (
-        np.zeros(dimension) if x0 is None else check_vector(x0, dimension=dimension, name="x0")
+    schedule, constraint, start_point = _schedule_projection_start(
+        costs, dimension, gradient_filter, step_sizes, projection, x0
     )
 
     # Each honest agent's local estimate; initialized identically (the
@@ -311,22 +306,7 @@ def run_peer_to_peer_dgd(
                         )
                 estimates[t + 1] = baseline
             if tel:
-                matrix = gradient_filter.sanitize(gradients)
-                kept_rows = (
-                    gradient_filter.kept_indices(matrix)
-                    if hasattr(gradient_filter, "kept_indices")
-                    else None
-                )
-                tel.record_round(
-                    round_index=t,
-                    filter_name=getattr(
-                        gradient_filter, "name", type(gradient_filter).__name__
-                    ),
-                    step_size=eta,
-                    gradient_norms=np.linalg.norm(matrix, axis=1),
-                    kept_ids=kept_rows,
-                    estimate=baseline,
-                )
+                record_filter_round(tel, t, gradient_filter, gradients, eta, baseline)
     elapsed = time.perf_counter() - start
 
     extra: Dict[str, object] = {}

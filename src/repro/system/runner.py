@@ -8,7 +8,9 @@ drives either network and server pair through the same round-level calls
 synchronous pair when nothing can fail, the partially-synchronous network
 and the self-healing server under a fault model or a checkpoint path.
 :func:`~repro.system.batch.run_dgd_batch` shares the run's validation and
-set-up helpers.
+set-up helpers; the peer-to-peer and decentralized engines share its input
+checks (:func:`_check_run_inputs`) and defaults
+(:func:`_schedule_projection_start`).
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ class DGDConfig:
     x0:
         Initial estimate; defaults to the origin.
     step_sizes:
-        Schedule; defaults to ``DiminishingStepSize(c=0.02)`` matching the
-        regression experiments' scale.
+        Schedule; defaults to a curvature-adapted diminishing schedule
+        matched to the filter's output scale.
     projection:
-        The compact set ``W``; defaults to a large centered box.
+        The compact set ``W``; defaults to the centered box of half-width
+        1000 that every engine uses.
     seed:
         Master seed from which agent/adversary streams derive.
     record_messages:
@@ -105,7 +108,6 @@ class DGDConfig:
     seed: SeedLike = 0
     record_messages: bool = False
     log_capacity: int = 10_000
-    box_half_width: float = 1000.0
     crash_rounds: Optional[Dict[int, int]] = None
     fault_model: Optional[NetworkFaultModel] = None
     checkpoint_path: Optional[str] = None
@@ -203,13 +205,19 @@ def apply_config_overrides(config: DGDConfig, overrides: Dict) -> DGDConfig:
     return replace(config, **overrides)
 
 
+#: Half-width of the default projection set ``W``, a centered box, in every
+#: engine.
+_BOX_HALF_WIDTH = 1000.0
+
+
 def _default_schedule(
-    costs: Sequence[CostFunction], gradient_filter: GradientFilter
+    costs: Sequence[CostFunction], gradient_filter: Optional[GradientFilter]
 ) -> StepSizeSchedule:
     """Curvature-adapted schedule matched to the filter's output scale.
 
     CGE (in its paper form) and plain summation output a *sum* of
-    gradients; everything else in the registry outputs a mean-scale vector.
+    gradients; everything else in the registry, and ``None`` (a plain
+    mean), outputs a mean-scale vector.
     """
     from repro.aggregators.cge import ComparativeGradientElimination
     from repro.aggregators.mean import TrimmedSum
@@ -221,13 +229,20 @@ def _default_schedule(
     return suggest_diminishing(costs, aggregation="sum" if sum_scaled else "mean")
 
 
-def _validate_run(costs, behavior, config: DGDConfig):
-    """Check a run's inputs and build its filter; ``run_dgd_batch`` shares it.
+def _check_run_inputs(costs, behavior, iterations, faulty_ids):
+    """The input checks every DGD engine shares.
 
-    Returns ``(costs, dimension, faulty_ids, crash_rounds, f, gradient_filter)``.
+    ``run_dgd``, ``run_dgd_batch``, ``run_peer_to_peer_dgd`` and
+    ``run_decentralized_dgd`` all start here, so one bad input gets one
+    error whichever engine runs it. Returns ``(costs, dimension,
+    faulty_ids)``: the costs as a list and the faulty ids sorted and
+    de-duplicated.
     """
-    iterations = config.iterations
-    if not isinstance(iterations, (int, np.integer)) or iterations < 0:
+    if (
+        isinstance(iterations, bool)
+        or not isinstance(iterations, (int, np.integer))
+        or iterations < 0
+    ):
         raise InvalidParameterError(
             f"iterations must be a non-negative integer, got {iterations!r}"
         )
@@ -241,9 +256,24 @@ def _validate_run(costs, behavior, config: DGDConfig):
             raise InvalidParameterError(
                 f"cost {index} has dimension {cost.dimension}, expected {dimension}"
             )
-    faulty_ids = sorted(set(int(i) for i in config.faulty_ids))
+    faulty_ids = sorted(set(int(i) for i in faulty_ids))
     if any(i < 0 or i >= n for i in faulty_ids):
-        raise InvalidParameterError("faulty_ids out of range")
+        raise InvalidParameterError(f"faulty_ids must lie in [0, {n}), got {faulty_ids}")
+    if faulty_ids and behavior is None:
+        raise InvalidParameterError("faulty agents configured but no behavior given")
+    return costs, dimension, faulty_ids
+
+
+def _validate_run(costs, behavior, config: DGDConfig):
+    """The server engines' checks: the shared ones, then crash rounds, ``f``
+    and the filter; ``run_dgd`` and ``run_dgd_batch`` call it.
+
+    Returns ``(costs, dimension, faulty_ids, crash_rounds, f, gradient_filter)``.
+    """
+    costs, dimension, faulty_ids = _check_run_inputs(
+        costs, behavior, config.iterations, config.faulty_ids
+    )
+    n = len(costs)
     crash_rounds = {int(k): int(v) for k, v in (config.crash_rounds or {}).items()}
     if any(i < 0 or i >= n for i in crash_rounds):
         raise InvalidParameterError("crash_rounds agent ids out of range")
@@ -257,8 +287,6 @@ def _validate_run(costs, behavior, config: DGDConfig):
             f"{len(faulty_ids) + len(crash_rounds)} faulty agents exceed the "
             f"announced bound f={f}"
         )
-    if faulty_ids and behavior is None:
-        raise InvalidParameterError("faulty agents configured but no behavior given")
 
     gradient_filter = config.gradient_filter
     if isinstance(gradient_filter, str):
@@ -266,30 +294,31 @@ def _validate_run(costs, behavior, config: DGDConfig):
     return costs, dimension, faulty_ids, crash_rounds, f, gradient_filter
 
 
-def _schedule_projection_start(costs, config: DGDConfig, gradient_filter, dimension: int):
-    """A run's step sizes, projection set ``W`` and start ``x0``.
+def _schedule_projection_start(
+    costs, dimension: int, gradient_filter, step_sizes=None, projection=None, x0=None
+):
+    """A run's step sizes, projection set ``W`` and start ``x0``, defaults
+    filled in; every engine calls it from its entry point.
 
-    Shared like :func:`_validate_run`; its warnings name the run's caller.
+    The default schedule takes its scale from ``gradient_filter``
+    (``None``, the decentralized engine's state mix, is mean-scale).
+    The warnings name the engine's caller.
     """
-    step_sizes = config.step_sizes or _default_schedule(costs, gradient_filter)
+    step_sizes = step_sizes or _default_schedule(costs, gradient_filter)
     if not step_sizes.satisfies_robbins_monro:
         warnings.warn(
             "step-size schedule violates the Robbins-Monro conditions; the "
             "convergence theorem does not apply",
             stacklevel=3,
         )
-    projection = config.projection or BoxSet.centered(dimension, config.box_half_width)
+    projection = projection or BoxSet.centered(dimension, _BOX_HALF_WIDTH)
     if not projection.is_compact:
         warnings.warn(
             "projection set is not compact; the convergence theorem requires "
             "a compact convex W",
             stacklevel=3,
         )
-    x0 = (
-        np.zeros(dimension)
-        if config.x0 is None
-        else check_vector(config.x0, dimension=dimension, name="x0")
-    )
+    x0 = np.zeros(dimension) if x0 is None else check_vector(x0, dimension=dimension, name="x0")
     return step_sizes, projection, x0
 
 
@@ -352,7 +381,7 @@ def run_dgd(
     # adversary stream fixed; run_dgd_batch derives it the same way.
     adversary_rng, _ = spawn_rngs(master, 2)
     step_sizes, projection, x0 = _schedule_projection_start(
-        costs, config, gradient_filter, dimension
+        costs, dimension, gradient_filter, config.step_sizes, config.projection, config.x0
     )
 
     # "honest" here means neither adversarial nor crash-faulty; crash agents

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.aggregators.base import GradientFilter
 from repro.exceptions import InvalidParameterError, ProtocolViolationError
-from repro.observability import TelemetryLike, ensure_telemetry
+from repro.observability import Telemetry, TelemetryLike, ensure_telemetry
 from repro.optimization.projections import ConvexSet
 from repro.optimization.step_sizes import StepSizeSchedule
 from repro.system.messages import SERVER_ID, EstimateBroadcast, GradientMessage
@@ -253,35 +253,44 @@ class DGDServer:
         eta = self._step_sizes(self._round)
         self._estimate = self._projection.project(self._estimate - eta * self._last_direction)
         if self._telemetry:
-            self._record_round_telemetry(ordered, gradients, eta, gradient_filter)
+            record_filter_round(
+                self._telemetry, self._round, gradient_filter, gradients, eta,
+                self._estimate, agent_ids=[message.sender for message in ordered],
+            )
         self._round += 1
         return self.estimate
 
-    def _record_round_telemetry(
-        self,
-        ordered: Sequence[GradientMessage],
-        gradients: np.ndarray,
-        eta: float,
-        gradient_filter: Optional[GradientFilter] = None,
-    ) -> None:
-        """Emit this round's telemetry record (telemetry-enabled path only).
 
-        Norms are taken on the sanitized matrix — what the filter actually
-        scored — and ``kept_indices`` (CGE and friends) is re-derived the
-        same way, so the record reconstructs the filter's decision exactly.
-        """
-        gradient_filter = self._filter if gradient_filter is None else gradient_filter
-        agent_ids = [message.sender for message in ordered]
-        matrix = gradient_filter.sanitize(gradients)
-        kept_rows = None
-        if hasattr(gradient_filter, "kept_indices"):
-            kept_rows = gradient_filter.kept_indices(matrix)
-        self._telemetry.record_round(
-            round_index=self._round,
-            filter_name=getattr(gradient_filter, "name", type(gradient_filter).__name__),
-            step_size=eta,
-            gradient_norms=np.linalg.norm(matrix, axis=1),
-            agent_ids=agent_ids,
-            kept_ids=None if kept_rows is None else [agent_ids[r] for r in kept_rows],
-            estimate=self._estimate,
-        )
+def record_filter_round(
+    telemetry: Telemetry,
+    round_index: int,
+    gradient_filter: GradientFilter,
+    gradients: np.ndarray,
+    step_size: float,
+    estimate: np.ndarray,
+    agent_ids: Optional[Sequence[int]] = None,
+) -> None:
+    """Emit one round's filter record; the server and the peer-to-peer
+    engine both call it (telemetry-enabled path only).
+
+    Norms are taken on the sanitized matrix — what the filter actually
+    scored — and ``kept_indices`` (CGE and friends) is re-derived the
+    same way, so the record reconstructs the filter's decision exactly.
+    ``agent_ids`` maps gradient rows to agents (row ``i`` is agent ``i``
+    by default).
+    """
+    matrix = gradient_filter.sanitize(gradients)
+    kept = None
+    if hasattr(gradient_filter, "kept_indices"):
+        kept = gradient_filter.kept_indices(matrix)
+        if agent_ids is not None:
+            kept = [agent_ids[r] for r in kept]
+    telemetry.record_round(
+        round_index=round_index,
+        filter_name=getattr(gradient_filter, "name", type(gradient_filter).__name__),
+        step_size=step_size,
+        gradient_norms=np.linalg.norm(matrix, axis=1),
+        agent_ids=agent_ids,
+        kept_ids=kept,
+        estimate=estimate,
+    )

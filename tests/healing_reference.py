@@ -1173,7 +1173,7 @@ def reference_run_dgd(
             "convergence theorem does not apply",
             stacklevel=2,
         )
-    projection = config.projection or BoxSet.centered(dimension, config.box_half_width)
+    projection = config.projection or BoxSet.centered(dimension, 1000.0)
     if not projection.is_compact:
         warnings.warn(
             "projection set is not compact; the convergence theorem requires "

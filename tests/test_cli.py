@@ -239,6 +239,29 @@ class TestServeCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestErrorBoundary:
+    """A library error ends any command with ``error: …`` and exit 2.
+
+    Each of these used to print a traceback and exit 1. CI runs two of
+    them as subprocesses to check the same on the process's own stderr.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        "run --n 6 --f 3",
+        "run --n 6 --f 1 --d 5",
+        "run --noise -1",
+        "run --iterations -5",
+        "run --architecture decentralized --n 12 --f 1 --hops 2 --drop-prob 1.5",
+        "profile --n 6 --f 3",
+        "redundancy --n 6 --f 3",
+    ])
+    def test_bad_input_exits_2_without_traceback(self, argv, capsys):
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestProfileCommand:
     FAST = ["profile", "--iterations", "20", "--seed", "1"]
 

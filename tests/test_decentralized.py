@@ -51,12 +51,25 @@ class TestValidation:
                 costs, ring_topology(12, hops=2), aggregation="krum"
             )
 
-    def test_nonpositive_iterations_rejected(self):
+    def test_negative_iterations_rejected_zero_accepted(self):
         costs, _ = _small_instance()
-        with pytest.raises(InvalidParameterError):
-            run_decentralized_dgd(
-                costs, ring_topology(12, hops=2), iterations=0
-            )
+        topology = ring_topology(12, hops=2)
+        with pytest.raises(InvalidParameterError, match="iterations"):
+            run_decentralized_dgd(costs, topology, iterations=-1)
+        # As in run_dgd: zero rounds record the start only.
+        result = run_decentralized_dgd(costs, topology, iterations=0)
+        assert result.mean_trajectory.shape == (1, 3)
+        assert np.array_equal(result.final_states, np.zeros((12, 3)))
+
+    def test_per_agent_x0_checked(self):
+        costs, _ = _small_instance()
+        topology = ring_topology(12, hops=2)
+        x0 = np.zeros((12, 3))
+        x0[4, 1] = np.inf
+        with pytest.raises(InvalidParameterError, match="x0 contains non-finite"):
+            run_decentralized_dgd(costs, topology, x0=x0, iterations=2)
+        with pytest.raises(ValueError, match="x0 must have 12 rows"):
+            run_decentralized_dgd(costs, topology, x0=np.zeros((11, 3)), iterations=2)
 
     def test_out_of_range_faulty_ids_rejected(self):
         costs, _ = _small_instance()

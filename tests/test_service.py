@@ -130,6 +130,12 @@ class TestServiceEndToEnd:
                 harness.client.submit(kind, params)
             assert excinfo.value.status == 400
 
+    def test_unbuildable_instance_rejected_400(self, harness):
+        # An infeasible fault bound used to be admitted and fail the job.
+        with pytest.raises(ServiceError, match="invalid-spec") as excinfo:
+            harness.client.submit("run", {"n": 4, "f": 4})
+        assert excinfo.value.status == 400
+
     def test_result_before_completion_conflicts(self, harness, tmp_path):
         # a job that was never submitted
         with pytest.raises(ServiceError):
@@ -146,12 +152,11 @@ class TestServiceEndToEnd:
         assert listed == [a["job_id"], b["job_id"]]
 
     def test_failed_job_reports_error(self, harness):
-        # valid spec, infeasible configuration at execution time: Bulyan-
-        # style constraints don't apply here, so use a bench with a valid
-        # name but force failure via an unsatisfiable run: n=2 with f=1
-        # leaves too few honest agents for a unique minimizer.
+        # valid spec, infeasible configuration at execution time: the
+        # instance (n=6, d=2, f=1) passes the submit checks, but Bulyan
+        # needs n >= 4f + 3 gradients, which the run finds out in round 0.
         record = harness.client.submit(
-            "run", {"n": 2, "d": 2, "f": 1, "iterations": 10})
+            "run", {"filter": "bulyan", "iterations": 10})
         final = harness.client.wait(record["job_id"], timeout=60)
         assert final["state"] == "failed"
         assert final["error"]

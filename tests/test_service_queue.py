@@ -49,6 +49,31 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError, match="num_seeds"):
             validate_job_spec({"kind": "sweep", "params": {"num_seeds": 0}})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("run", {"n": 4, "f": 4}),
+        ("sweep", {"x0": ["a", "b"]}),
+        ("sweep", {"x0": [1, 2, 3]}),
+        ("sweep", {"n": 6, "d": 5}),
+        ("sweep", {"noise_std": -0.5}),
+    ])
+    def test_unbuildable_instance_rejected(self, kind, params):
+        # Each of these used to be admitted and then fail in the executor
+        # (the run job) or in every cell (the sweeps).
+        with pytest.raises(InvalidParameterError):
+            validate_job_spec({"kind": kind, "params": params})
+
+    def test_instance_checks_follow_executor_defaults(self):
+        # A sweep's instance f is its largest fault count, as in
+        # RegressionGrid.resolved_redundancy_f; a run's is its own f.
+        validate_job_spec({"kind": "sweep", "params": {"x0": [1, 2]}})
+        validate_job_spec({"kind": "sweep", "params": {"n": 7, "d": 5}})
+        with pytest.raises(InvalidParameterError, match="n - 2f >= d"):
+            validate_job_spec({"kind": "sweep",
+                               "params": {"n": 7, "d": 4, "fault_counts": [2]}})
+        validate_job_spec({"kind": "run", "params": {"n": 4, "f": 0, "d": 4}})
+        with pytest.raises(InvalidParameterError, match="2f < n"):
+            validate_job_spec({"kind": "run", "params": {"f": 3}})
+
     def test_bench_requires_registered_name(self):
         with pytest.raises(InvalidParameterError):
             validate_job_spec({"kind": "bench",
