@@ -21,7 +21,11 @@ provides the missing execution layer:
   SHA-256 hash of its full configuration, written atomically
   (write-then-rename) with an end-to-end content checksum. Truncated or
   bit-flipped entries are detected on read, discarded, and recomputed —
-  corruption can cost time, never correctness.
+  corruption can cost time, never correctness. :meth:`SweepEngine.map_cached`
+  owns the cache for every cached grid (regression cells, tournament
+  matches, E17 topology cells): it resolves hits in the calling process
+  before anything is dispatched, and the process that computes a cell
+  stores it. Failed cells are never stored.
 
 The engine is built to survive the faults infrastructure actually
 exhibits, mirroring how CGE survives Byzantine gradients (the paper's own
@@ -59,6 +63,7 @@ always safe to request.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -265,23 +270,21 @@ def _valid_cell_payload(payload) -> bool:
     can demote a checksummed document to an apparently-legacy one — the
     shape check rejects both instead of poisoning results.
     """
-    if not isinstance(payload, dict):
-        return False
-    if "error" in payload:
-        return isinstance(payload["error"], str)
-    return all(key in payload for key in ("final_error", "final_estimate",
-                                          "estimates"))
+    return isinstance(payload, dict) and all(
+        key in payload for key in ("final_error", "final_estimate", "estimates")
+    )
 
 
 def _load_cache_entry(path: str, valid: Callable[[object], bool]) -> Optional[Dict]:
     """Read one cache entry; ``None`` means corrupt/invalid (recompute).
 
-    Shared by every cached grid; ``valid`` is the grid's own shape check
-    (a checksummed document of the wrong shape, e.g. another grid's entry
-    under a colliding key, is as unusable as a truncated one). Never
-    raises on bad content: truncated JSON, checksum mismatches, and shape
-    violations all report as a miss, and the damaged file is removed so
-    the rewrite is clean.
+    Called by :meth:`SweepEngine.map_cached` for every cached grid;
+    ``valid`` is the grid's own shape check (a checksummed document of the
+    wrong shape, e.g. another grid's entry under a colliding key or a
+    failed cell stored by an older engine, is as unusable as a truncated
+    one). Never raises on bad content: truncated JSON, checksum
+    mismatches, and shape violations all report as a miss, and the
+    damaged file is removed so the rewrite is clean.
     """
     try:
         payload = read_json_checked(path)
@@ -301,12 +304,10 @@ def _load_cache_entry(path: str, valid: Callable[[object], bool]) -> Optional[Di
 def _run_regression_group(task: Dict) -> List[Dict]:
     """Execute one (filter, attack, f) group across its seeds.
 
-    Module-level (hence picklable) pool worker. Consults the cell cache
-    first — discarding corrupt entries — batches all missing seeds through
-    :func:`run_dgd_batch`, and writes fresh entries back atomically with
-    checksums. Returns one JSON-safe payload per seed, in the group's seed
-    order; each payload carries ``cache_state`` (``"hit"``, ``"miss"``, or
-    ``"corrupt"``) so the parent can log cache events.
+    Module-level (hence picklable) pool worker for
+    :meth:`SweepEngine.map_cached`, which hands it only the group's
+    uncached seeds; they run as one :func:`run_dgd_batch` call. Returns
+    one JSON-safe payload per seed, in the task's seed order.
     """
     from repro.attacks.registry import make_attack
     from repro.observability import Telemetry, TraceContext
@@ -316,116 +317,92 @@ def _run_regression_group(task: Dict) -> List[Dict]:
 
     grid_fields = task["grid_fields"]
     filter_name, attack_name, f = task["filter"], task["attack"], task["f"]
-    seeds, cache_dir = task["seeds"], task["cache_dir"]
+    seeds = task["seeds"]
     telemetry_dir = task.get("telemetry_dir")
     trace_payload = task.get("trace")
 
-    payloads: List[Optional[Dict]] = [None] * len(seeds)
-    cache_states: List[str] = ["miss"] * len(seeds)
-    missing: List[int] = []
-    for index, seed in enumerate(seeds):
-        if cache_dir is not None:
-            key = _config_hash(
-                _cell_cache_payload(grid_fields, filter_name, attack_name, f, seed)
-            )
-            path = os.path.join(cache_dir, f"{key}.json")
-            if os.path.exists(path):
-                payload = _load_cache_entry(path, _valid_cell_payload)
-                if payload is not None:
-                    payload["cached"] = True
-                    payload["cache_state"] = "hit"
-                    payloads[index] = payload
-                    continue
-                cache_states[index] = "corrupt"
-        missing.append(index)
-
-    if missing:
-        instance = make_redundant_regression(
-            n=grid_fields["n"],
-            d=grid_fields["d"],
-            f=grid_fields["redundancy_f"],
-            noise_std=grid_fields["noise_std"],
-            seed=grid_fields["instance_seed"],
+    instance = make_redundant_regression(
+        n=grid_fields["n"],
+        d=grid_fields["d"],
+        f=grid_fields["redundancy_f"],
+        noise_std=grid_fields["noise_std"],
+        seed=grid_fields["instance_seed"],
+    )
+    faulty_ids = tuple(range(f))
+    honest = [i for i in range(grid_fields["n"]) if i not in faulty_ids]
+    x_H = instance.honest_minimizer(honest)
+    behavior = make_attack(attack_name) if f > 0 else None
+    config = DGDConfig(
+        iterations=grid_fields["iterations"],
+        gradient_filter=filter_name,
+        faulty_ids=faulty_ids,
+        f=f if f > 0 else None,
+        x0=grid_fields["x0"],
+        seed=0,
+    )
+    telemetry = None
+    if telemetry_dir is not None:
+        # One JSONL stream per (f, filter, attack) group, produced by the
+        # worker that executes it (safe under the process pool: no two
+        # workers share a group, hence a file). Cached cells never reach
+        # a worker, so they emit nothing — telemetry records execution.
+        stream = os.path.join(
+            telemetry_dir, f"f{f}-{filter_name}-{attack_name}.jsonl"
         )
-        faulty_ids = tuple(range(f))
-        honest = [i for i in range(grid_fields["n"]) if i not in faulty_ids]
-        x_H = instance.honest_minimizer(honest)
-        behavior = make_attack(attack_name) if f > 0 else None
-        config = DGDConfig(
-            iterations=grid_fields["iterations"],
-            gradient_filter=filter_name,
-            faulty_ids=faulty_ids,
-            f=f if f > 0 else None,
-            x0=grid_fields["x0"],
-            seed=0,
+        group_name = f"group-f{f}-{filter_name}-{attack_name}"
+        group_trace = None
+        if trace_payload is not None:
+            # The chunk context travelled across the process boundary
+            # inside the task payload; derive this group's span under it
+            # so the worker's stream links back to the job's tree.
+            group_trace = TraceContext.from_payload(
+                trace_payload
+            ).child(group_name)
+        telemetry = Telemetry(
+            stream,
+            byzantine_ids=faulty_ids,
+            reference_point=x_H,
+            trace=group_trace,
+            trace_name=group_name if group_trace is not None else None,
         )
-        missing_seeds = [seeds[i] for i in missing]
-        telemetry = None
-        if telemetry_dir is not None:
-            # One JSONL stream per (f, filter, attack) group, produced by
-            # the worker that executes it (safe under the process pool:
-            # no two workers share a group, hence a file). Cached cells
-            # emit nothing — telemetry records actual execution.
-            stream = os.path.join(
-                telemetry_dir, f"f{f}-{filter_name}-{attack_name}.jsonl"
-            )
-            group_name = f"group-f{f}-{filter_name}-{attack_name}"
-            group_trace = None
-            if trace_payload is not None:
-                # The chunk context travelled across the process boundary
-                # inside the task payload; derive this group's span under
-                # it so the worker's stream links back to the job's tree.
-                group_trace = TraceContext.from_payload(
-                    trace_payload
-                ).child(group_name)
-            telemetry = Telemetry(
-                stream,
-                byzantine_ids=faulty_ids,
-                reference_point=x_H,
-                trace=group_trace,
-                trace_name=group_name if group_trace is not None else None,
-            )
-        try:
-            traces = run_dgd_batch(
-                instance.costs, behavior, config, seeds=missing_seeds,
-                telemetry=telemetry,
-            )
-            fresh = []
-            for trace in traces:
-                final_estimate = trace.final_estimate
-                fresh.append(
-                    {
-                        "final_error": float(np.linalg.norm(final_estimate - x_H)),
-                        "final_estimate": final_estimate.tolist(),
-                        "estimates": trace.estimates.tolist(),
-                        "cached": False,
-                    }
-                )
-        except (InvalidParameterError, ReproError) as exc:
-            # Infeasible configuration (e.g. Bulyan's n >= 4f + 3): the
-            # whole group fails identically for every seed.
-            fresh = [
-                {"error": f"{type(exc).__name__}: {exc}", "cached": False}
-                for _ in missing_seeds
-            ]
-        finally:
-            if telemetry is not None:
-                telemetry.close()  # flush the trailing counters + summary
-        for index, payload in zip(missing, fresh):
-            payload["cache_state"] = cache_states[index]
-            payloads[index] = payload
-            if cache_dir is not None:
-                key = _config_hash(
-                    _cell_cache_payload(
-                        grid_fields, filter_name, attack_name, f, seeds[index]
-                    )
-                )
-                stored = dict(payload)
-                stored.pop("cached", None)
-                stored.pop("cache_state", None)
-                write_json_atomic(os.path.join(cache_dir, f"{key}.json"), stored)
+    try:
+        traces = run_dgd_batch(
+            instance.costs, behavior, config, seeds=seeds, telemetry=telemetry,
+        )
+    except (InvalidParameterError, ReproError) as exc:
+        # Infeasible configuration (e.g. Bulyan's n >= 4f + 3): the whole
+        # group fails identically for every seed.
+        return [{"error": f"{type(exc).__name__}: {exc}"} for _ in seeds]
+    finally:
+        if telemetry is not None:
+            telemetry.close()  # flush the trailing counters + summary
+    return [
+        {
+            "final_error": float(np.linalg.norm(trace.final_estimate - x_H)),
+            "final_estimate": trace.final_estimate.tolist(),
+            "estimates": trace.estimates.tolist(),
+        }
+        for trace in traces
+    ]
 
-    return payloads  # type: ignore[return-value]
+
+def _compute_and_store(worker: Callable, cache_dir: Optional[str],
+                       task: Dict) -> List[Dict]:
+    """Pool task body of :meth:`SweepEngine.map_cached`: compute, then store.
+
+    Runs ``worker`` on a task cut down to its uncached seeds and writes
+    each successful payload under its key (``task["keys"]``, parallel to
+    ``task["seeds"]``) before returning, so a group's cells are on disk
+    as soon as its worker finishes and a run killed later loses none of
+    them. A failed cell (a payload with ``"error"``) is never stored: the
+    next run recomputes it, so a fix takes effect.
+    """
+    payloads = worker(task)
+    if cache_dir is not None:
+        for key, payload in zip(task["keys"], payloads):
+            if "error" not in payload:
+                write_json_atomic(os.path.join(cache_dir, f"{key}.json"), payload)
+    return payloads
 
 
 class _PoolUnavailable(ReproError):
@@ -550,11 +527,7 @@ class SharedProcessPool:
 def _quarantined_group(exc: BaseException, task: Dict) -> List[Dict]:
     """Per-seed error payloads for a group the engine gave up on."""
     message = f"quarantined: {type(exc).__name__}: {exc}"
-    return [
-        {"error": message, "quarantined": True, "cached": False,
-         "cache_state": "miss"}
-        for _ in task["seeds"]
-    ]
+    return [{"error": message, "quarantined": True} for _ in task["seeds"]]
 
 
 class SweepEngine:
@@ -612,8 +585,8 @@ class SweepEngine:
 
     Thread safety
     -------------
-    :meth:`map` (and everything built on it) is serialized by an internal
-    lock, so concurrent callers — the service's job slots, or any two
+    :meth:`map` and :meth:`map_cached` (and everything built on them) are
+    serialized by an internal lock, so concurrent callers — the service's job slots, or any two
     threads sharing one engine — are safe and produce results bit-identical
     to running the same calls sequentially. Cross-engine pool sharing is
     serialized by the :class:`SharedProcessPool` handle itself.
@@ -1041,6 +1014,64 @@ class SweepEngine:
         with self._map_lock:
             return self._map_locked(worker, items, chunk_size, on_item_error)
 
+    def map_cached(
+        self,
+        worker: Callable,
+        tasks: Sequence[Dict],
+        keys: Sequence[Sequence[str]],
+        valid: Callable[[object], bool],
+        on_item_error: Optional[Callable] = None,
+    ) -> List[List[Dict]]:
+        """:meth:`map` over cached cells, with every hit resolved up front.
+
+        ``tasks[i]["seeds"]`` lists task ``i``'s cells and ``keys[i]``
+        their cache keys. Every cell is looked up here, in the calling
+        process, before anything is dispatched: an entry must pass its
+        checksum and the ``valid`` shape guard, a bad one is removed, and
+        each cell logs one ``cache_hit``, ``cache_miss`` or
+        ``cache_corrupt`` event carrying its ``key`` and ``seed``. Only
+        tasks with a missing cell ride :meth:`map`'s failure ladder, each
+        cut down to its missing seeds, so a fully cached grid never
+        touches the pool. ``worker`` returns one payload per seed of the
+        task it is given; :func:`_compute_and_store` stores every
+        successful one where it was computed, and never a payload carrying
+        ``"error"``. Returns one payload list per task, in seed order;
+        served payloads carry ``cached=True``.
+        """
+        with self._map_lock:
+            results: List[List[Optional[Dict]]] = []
+            pending: List[Tuple[int, List[int]]] = []
+            items: List[Dict] = []
+            cache_dir = self._cache_dir
+            for task, task_keys in zip(tasks, keys):
+                seeds = task["seeds"]
+                found: List[Optional[Dict]] = [None] * len(seeds)
+                for index, (seed, key) in enumerate(zip(seeds, task_keys)):
+                    if cache_dir is None:
+                        break
+                    path = os.path.join(cache_dir, f"{key}.json")
+                    state = "miss"
+                    if os.path.exists(path):
+                        payload = _load_cache_entry(path, valid)
+                        state = "corrupt" if payload is None else "hit"
+                        if payload is not None:
+                            found[index] = {**payload, "cached": True}
+                    self._events.emit(f"cache_{state}", key=key, seed=seed)
+                missing = [i for i, payload in enumerate(found) if payload is None]
+                if missing:
+                    pending.append((len(results), missing))
+                    items.append({**task, "seeds": [seeds[i] for i in missing],
+                                  "keys": [task_keys[i] for i in missing]})
+                results.append(found)
+            computed = self._map_locked(
+                functools.partial(_compute_and_store, worker, cache_dir),
+                items, None, on_item_error,
+            )
+            for (slot, missing), payloads in zip(pending, computed):
+                for index, payload in zip(missing, payloads):
+                    results[slot][index] = payload
+            return results  # type: ignore[return-value]
+
     def _map_locked(
         self,
         worker: Callable,
@@ -1262,15 +1293,19 @@ class SweepEngine:
                 "attack": attack_name,
                 "f": f,
                 "seeds": seeds,
-                "cache_dir": self._cache_dir,
                 "telemetry_dir": self._telemetry_dir,
             }
             for f in grid.fault_counts
             for filter_name in grid.filters
             for attack_name in grid.attacks
         ]
-        grouped_payloads = self.map(
-            _run_regression_group, tasks, on_item_error=_quarantined_group
+        # _grid_cells lists the cells in task order, seed-minor.
+        cell_keys = [cell["key"] for cell in self._grid_cells(grid)]
+        width = len(seeds)
+        keys = [cell_keys[i * width:(i + 1) * width] for i in range(len(tasks))]
+        grouped_payloads = self.map_cached(
+            _run_regression_group, tasks, keys, _valid_cell_payload,
+            on_item_error=_quarantined_group,
         )
         results: List[SweepCellResult] = []
         for task, payloads in zip(tasks, grouped_payloads):
@@ -1283,13 +1318,6 @@ class SweepEngine:
                     cached=bool(payload.get("cached", False)),
                     quarantined=bool(payload.get("quarantined", False)),
                 )
-                state = payload.get("cache_state")
-                if self._cache_dir is not None and state is not None:
-                    self._events.emit(
-                        f"cache_{state}",
-                        filter=cell.filter_name, attack=cell.attack_name,
-                        f=cell.f, seed=cell.seed,
-                    )
                 if "error" in payload:
                     cell.error = payload["error"]
                     self._events.emit(

@@ -17,11 +17,12 @@ sparser one loses agents to infeasible neighborhoods first and to slow
 consensus second.
 
 Every cell is an independent, seeded, deterministic configuration, so
-execution rides :class:`repro.experiments.sweep.SweepEngine`'s cached
-parallel layer exactly like the adversary tournament: cells are cached
-under a ``"topology-cell"`` namespace (disjoint from ``"regression-dgd"``
-and ``"tournament-match"`` keys), corrupt entries are discarded and
-recomputed, and a re-run over a warm cache is pure cache hits.
+execution rides :meth:`repro.experiments.sweep.SweepEngine.map_cached`
+exactly like the adversary tournament, one single-seed task per cell:
+cells are cached under a ``"topology-cell"`` namespace (disjoint from
+``"regression-dgd"`` and ``"tournament-match"`` keys), corrupt entries
+are discarded and recomputed, and a re-run over a warm cache is pure
+cache hits.
 
 Problem instances have *full local rank*: every agent's quadratic cost is
 minimized at the same ``x* = (1, ..., 1)``, so local 2f-redundancy holds
@@ -31,15 +32,13 @@ of every distance column is exact.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.reporting import ExperimentResult
 from repro.exceptions import InvalidParameterError, ReproError
-from repro.experiments.sweep import SweepEngine, _config_hash, _load_cache_entry
-from repro.utils.atomicio import write_json_atomic
+from repro.experiments.sweep import SweepEngine, _config_hash
 
 __all__ = [
     "DEFAULT_VARIANTS",
@@ -106,19 +105,16 @@ def _cell_cache_payload(task: Dict) -> Dict:
         "profile": task["profile"],
         "instance_seed": task["instance_seed"],
         "topology_seed": task["topology_seed"],
-        "seed": task["seed"],
+        "seed": task["seeds"][0],
         "fault_seed": task["fault_seed"],
     }
 
 
 def _valid_topology_payload(payload) -> bool:
     """Shape guard for cached E17 cells (beyond the checksum)."""
-    if not isinstance(payload, dict):
-        return False
-    if "error" in payload:
-        return isinstance(payload["error"], str)
     return (
-        isinstance(payload.get("max_honest_dist"), (int, float))
+        isinstance(payload, dict)
+        and isinstance(payload.get("max_honest_dist"), (int, float))
         and isinstance(payload.get("feasible_agents"), int)
         and isinstance(payload.get("counters"), dict)
     )
@@ -143,12 +139,12 @@ def full_local_rank_costs(n: int, d: int, instance_seed: int):
     return costs, x_star
 
 
-def _run_topology_cell(task: Dict) -> Dict:
+def _run_topology_cell(task: Dict) -> List[Dict]:
     """Execute one (variant, f, fault-model) cell — picklable pool worker.
 
-    Mirrors the tournament's ``_run_match_group``: consult the cache
-    first, compute on miss, write the fresh entry back atomically with a
-    checksum. Feasibility is *measured*, not enforced: a cell whose
+    A one-seed task of :meth:`~repro.experiments.sweep.SweepEngine.map_cached`,
+    which serves cached cells before dispatch and stores what this
+    returns. Feasibility is *measured*, not enforced: a cell whose
     neighborhoods violate ``deg_i >= 2 f_i`` still runs (graceful
     degradation is the subject), with the violating-agent count reported.
     """
@@ -156,17 +152,6 @@ def _run_topology_cell(task: Dict) -> Dict:
     from repro.system.decentralized import run_decentralized_dgd
     from repro.system.netfaults import LinkFaultModel, LinkFaultProfile
     from repro.system.topology import make_topology
-
-    cache_dir = task["cache_dir"]
-    path = None
-    if cache_dir is not None:
-        key = _config_hash(_cell_cache_payload(task))
-        path = os.path.join(cache_dir, f"{key}.json")
-        if os.path.exists(path):
-            payload = _load_cache_entry(path, _valid_topology_payload)
-            if payload is not None:
-                payload["cached"] = True
-                return payload
 
     try:
         topology = make_topology(
@@ -192,29 +177,22 @@ def _run_topology_cell(task: Dict) -> Dict:
             faulty_ids=faulty,
             behavior=make_attack("gradient-reverse") if faulty else None,
             iterations=task["iterations"],
-            seed=task["seed"],
+            seed=task["seeds"][0],
             link_faults=link_faults,
             validate_feasibility=False,
         )
         distances = result.distances_to(x_star)[result.honest_ids]
-        payload = {
+        return [{
             "max_honest_dist": float(np.max(distances)),
             "mean_honest_dist": float(np.mean(distances)),
             "feasible_agents": feasible,
             "min_degree": int(topology.min_degree),
             "counters": {k: int(v) for k, v in result.counters.items()},
-            "cached": False,
-        }
+        }]
     except (InvalidParameterError, ReproError) as exc:
         # The failure is a property of the configuration (e.g. a generator
-        # bound), so caching it would mask a later fix: report, don't store.
-        return {"error": f"{type(exc).__name__}: {exc}", "cached": False}
-
-    if path is not None:
-        stored = dict(payload)
-        stored.pop("cached", None)
-        write_json_atomic(path, stored)
-    return payload
+        # bound): reported, and never stored, so a later fix takes effect.
+        return [{"error": f"{type(exc).__name__}: {exc}"}]
 
 
 def run_topology_resilience(
@@ -263,11 +241,15 @@ def run_topology_resilience(
                     "profile": FAULT_MODELS[model_name],
                     "instance_seed": int(instance_seed),
                     "topology_seed": int(topology_seed),
-                    "seed": int(seed),
+                    "seeds": [int(seed)],
                     "fault_seed": int(fault_seed),
-                    "cache_dir": engine.cache_dir,
                 })
-    cells = engine.map(_run_topology_cell, tasks)
+    keys = [[_config_hash(_cell_cache_payload(task))] for task in tasks]
+    cells = [
+        payloads[0] for payloads in engine.map_cached(
+            _run_topology_cell, tasks, keys, _valid_topology_payload
+        )
+    ]
 
     result = ExperimentResult(
         experiment_id="E17",

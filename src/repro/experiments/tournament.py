@@ -9,11 +9,11 @@ rounds against the filters that beat them (best-response iteration), and
 the outcomes roll up into an Elo-style **robustness leaderboard** with
 multiseed confidence intervals.
 
-Execution rides :class:`repro.experiments.sweep.SweepEngine`'s cached
-parallel layer: each (filter, attack, seed) match is cached under a
-SHA-256 key of its full configuration in the ``"tournament-match"``
-namespace (disjoint from the regression-grid ``"regression-dgd"`` cells),
-written atomically with checksums via :mod:`repro.utils.atomicio`. The
+Execution rides :meth:`repro.experiments.sweep.SweepEngine.map_cached`:
+each (filter, attack, seed) match is cached under a SHA-256 key of its
+full configuration in the ``"tournament-match"`` namespace (disjoint from
+the regression-grid ``"regression-dgd"`` cells), written atomically with
+checksums via :mod:`repro.utils.atomicio`. The
 cache key covers the *resolved* attack parameters but not the tournament
 round index, so a re-tuned attack is a new match while an unchanged one
 is a cache hit — which is exactly what makes the matrix tractable and a
@@ -63,7 +63,6 @@ from repro.experiments.multiseed import summarize_over_seeds
 from repro.experiments.sweep import (
     SweepEngine,
     _config_hash,
-    _load_cache_entry,
     _quarantined_group,
     derive_run_seeds,
 )
@@ -326,12 +325,9 @@ def _match_cache_payload(instance_fields: Dict, filter_name: str,
 
 def _valid_match_payload(payload) -> bool:
     """Shape guard for cached match entries (beyond the checksum)."""
-    if not isinstance(payload, dict):
-        return False
-    if "error" in payload:
-        return isinstance(payload["error"], str)
     return (
-        isinstance(payload.get("final_error"), (int, float))
+        isinstance(payload, dict)
+        and isinstance(payload.get("final_error"), (int, float))
         and isinstance(payload.get("distances"), list)
         and isinstance(payload.get("elimination"), dict)
     )
@@ -340,12 +336,10 @@ def _valid_match_payload(payload) -> bool:
 def _run_match_group(task: Dict) -> List[Dict]:
     """Execute one (filter, attack-configuration) match across its seeds.
 
-    Module-level (hence picklable) pool worker, mirroring the regression
-    grid's :func:`~repro.experiments.sweep._run_regression_group`:
-    consult the cache first (discarding corrupt entries), compute missing
-    seeds sequentially with per-run telemetry, and write fresh entries
-    back atomically with checksums. Returns one JSON-safe payload per
-    seed in order, each carrying ``cache_state``.
+    Module-level (hence picklable) pool worker for
+    :meth:`~repro.experiments.sweep.SweepEngine.map_cached`, which hands it
+    only the match's uncached seeds; each runs sequentially with per-run
+    telemetry. Returns one JSON-safe payload per seed, in order.
     """
     from repro.attacks.best_response import PhiMinimizingAttack
     from repro.observability import Telemetry
@@ -356,100 +350,62 @@ def _run_match_group(task: Dict) -> List[Dict]:
     filter_name = task["filter"]
     attack_name = task["attack"]
     params = task["params"]
-    seeds, cache_dir = task["seeds"], task["cache_dir"]
+    seeds = task["seeds"]
     f = instance_fields["f"]
 
-    payloads: List[Optional[Dict]] = [None] * len(seeds)
-    cache_states: List[str] = ["miss"] * len(seeds)
-    missing: List[int] = []
-    for index, seed in enumerate(seeds):
-        if cache_dir is not None:
-            key = _config_hash(
-                _match_cache_payload(instance_fields, filter_name,
-                                     attack_name, params, seed)
+    instance = make_redundant_regression(
+        n=instance_fields["n"],
+        d=instance_fields["d"],
+        f=f,
+        noise_std=instance_fields["noise_std"],
+        seed=instance_fields["instance_seed"],
+    )
+    faulty_ids = tuple(range(f))
+    honest = [i for i in range(instance_fields["n"]) if i not in faulty_ids]
+    x_H = instance.honest_minimizer(honest)
+    config = DGDConfig(
+        iterations=instance_fields["iterations"],
+        gradient_filter=filter_name,
+        faulty_ids=faulty_ids,
+        f=f,
+        x0=instance_fields["x0"],
+        seed=0,
+    )
+    payloads: List[Dict] = []
+    try:
+        if attack_name == BEST_RESPONSE_ATTACK:
+            behavior = PhiMinimizingAttack(
+                make_filter(filter_name, f=f), x_H, **params
             )
-            path = os.path.join(cache_dir, f"{key}.json")
-            if os.path.exists(path):
-                payload = _load_cache_entry(path, _valid_match_payload)
-                if payload is not None:
-                    payload["cached"] = True
-                    payload["cache_state"] = "hit"
-                    payloads[index] = payload
-                    continue
-                cache_states[index] = "corrupt"
-        missing.append(index)
-
-    if missing:
-        instance = make_redundant_regression(
-            n=instance_fields["n"],
-            d=instance_fields["d"],
-            f=f,
-            noise_std=instance_fields["noise_std"],
-            seed=instance_fields["instance_seed"],
-        )
-        faulty_ids = tuple(range(f))
-        honest = [i for i in range(instance_fields["n"]) if i not in faulty_ids]
-        x_H = instance.honest_minimizer(honest)
-        config = DGDConfig(
-            iterations=instance_fields["iterations"],
-            gradient_filter=filter_name,
-            faulty_ids=faulty_ids,
-            f=f,
-            x0=instance_fields["x0"],
-            seed=0,
-        )
-        fresh: List[Dict] = []
-        try:
-            if attack_name == BEST_RESPONSE_ATTACK:
-                behavior = PhiMinimizingAttack(
-                    make_filter(filter_name, f=f), x_H, **params
-                )
-            else:
-                behavior = make_attack(attack_name, **params)
-            for index in missing:
-                telemetry = Telemetry(
-                    None, byzantine_ids=faulty_ids, reference_point=x_H
-                )
-                trace = run_dgd(
-                    instance.costs, behavior, config, seed=seeds[index],
-                    telemetry=telemetry,
-                )
-                telemetry.close()
-                elimination = telemetry.summary().get("elimination", {})
-                distances = trace.distances_to(x_H)
-                fresh.append(
-                    {
-                        "final_error": float(distances[-1]),
-                        "distances": [float(v) for v in distances],
-                        "elimination": {
-                            "precision": elimination.get("precision"),
-                            "recall": elimination.get("recall"),
-                        },
-                        "cached": False,
-                    }
-                )
-        except (InvalidParameterError, ReproError) as exc:
-            # Infeasible pairing (e.g. a filter's n-vs-f bound): the
-            # failure is a property of the configuration, so every seed
-            # of the group fails identically.
-            fresh = [
-                {"error": f"{type(exc).__name__}: {exc}", "cached": False}
-                for _ in missing
-            ]
-        for index, payload in zip(missing, fresh):
-            payload["cache_state"] = cache_states[index]
-            payloads[index] = payload
-            if cache_dir is not None and "error" not in payload:
-                key = _config_hash(
-                    _match_cache_payload(instance_fields, filter_name,
-                                         attack_name, params, seeds[index])
-                )
-                stored = dict(payload)
-                stored.pop("cached", None)
-                stored.pop("cache_state", None)
-                write_json_atomic(os.path.join(cache_dir, f"{key}.json"), stored)
-
-    return payloads  # type: ignore[return-value]
+        else:
+            behavior = make_attack(attack_name, **params)
+        for seed in seeds:
+            telemetry = Telemetry(
+                None, byzantine_ids=faulty_ids, reference_point=x_H
+            )
+            trace = run_dgd(
+                instance.costs, behavior, config, seed=seed,
+                telemetry=telemetry,
+            )
+            telemetry.close()
+            elimination = telemetry.summary().get("elimination", {})
+            distances = trace.distances_to(x_H)
+            payloads.append(
+                {
+                    "final_error": float(distances[-1]),
+                    "distances": [float(v) for v in distances],
+                    "elimination": {
+                        "precision": elimination.get("precision"),
+                        "recall": elimination.get("recall"),
+                    },
+                }
+            )
+    except (InvalidParameterError, ReproError) as exc:
+        # Infeasible pairing (e.g. a filter's n-vs-f bound): the failure
+        # is a property of the configuration, so every seed of the group
+        # fails identically.
+        return [{"error": f"{type(exc).__name__}: {exc}"} for _ in seeds]
+    return payloads
 
 
 # ----------------------------------------------------------------------
@@ -631,10 +587,11 @@ def run_tournament(
     """Run the full tournament; return the schema-versioned payload.
 
     Per tournament round, the *entire* cross-product (roster × bank, at
-    each pairing's current tuning) is scheduled through ``engine.map``
-    — :func:`_run_match_group` consults the match cache per seed, so
-    only pairings whose configuration actually changed (re-tuned
-    adaptive attacks, or cache misses from a killed run) cost compute.
+    each pairing's current tuning) is scheduled through
+    ``engine.map_cached``, which serves every cached match before
+    dispatch, so only pairings whose configuration actually changed
+    (re-tuned adaptive attacks, or cache misses from a killed run) cost
+    compute.
     After each round, per-seed Elo tables ingest the round's matches as
     one batch per seed, and every adaptive pairing whose defending
     filter won more seeds than it lost escalates one palette step for
@@ -692,12 +649,22 @@ def run_tournament(
                 "attack": spec.attack,
                 "params": spec.params_at(levels[(filter_name, spec.name)]),
                 "seeds": seeds,
-                "cache_dir": engine.cache_dir,
             }
             for filter_name, spec in pairings
         ]
-        grouped = engine.map(
-            _run_match_group, tasks, on_item_error=_quarantined_group
+        keys = [
+            [
+                _config_hash(_match_cache_payload(
+                    instance_fields, task["filter"], task["attack"],
+                    task["params"], seed,
+                ))
+                for seed in seeds
+            ]
+            for task in tasks
+        ]
+        grouped = engine.map_cached(
+            _run_match_group, tasks, keys, _valid_match_payload,
+            on_item_error=_quarantined_group,
         )
         matches: List[Dict] = []
         round_outcomes: Dict[Tuple[str, str], Dict[str, int]] = {
@@ -709,14 +676,8 @@ def run_tournament(
         }
         for (filter_name, spec), task, payloads in zip(pairings, tasks, grouped):
             for seed, payload in zip(seeds, payloads):
-                state = payload.get("cache_state")
-                if engine.cache_dir is not None and state is not None:
-                    engine.events.emit(
-                        f"cache_{state}", kind="tournament-match",
-                        filter=filter_name, attack=spec.name,
-                        round=round_index, seed=seed,
-                    )
-                    if state == "hit":
+                if engine.cache_dir is not None:
+                    if payload.get("cached", False):
                         cache_hits += 1
                     else:
                         cache_misses += 1

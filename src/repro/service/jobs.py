@@ -189,7 +189,7 @@ def _validate_sweep_params(params: Dict) -> None:
 
 
 def _validate_run_params(params: Dict) -> None:
-    from repro.aggregators.registry import available_filters
+    from repro.aggregators.registry import available_filters, make_filter
     from repro.attacks.registry import buildable_attacks
 
     for key, minimum in (("n", 2), ("d", 1), ("iterations", 1)):
@@ -213,6 +213,15 @@ def _validate_run_params(params: Dict) -> None:
         )
     resolved = {**RUN_DEFAULTS, **params}
     _check_instance(resolved["n"], resolved["d"], resolved["f"], resolved["noise_std"])
+    # The run fails in round 0 when its filter needs more gradients than
+    # there are agents (Bulyan needs 4f + 3). Sweep cells that cannot run
+    # are reported one by one instead.
+    needed = make_filter(resolved["filter"], f=resolved["f"]).minimum_inputs()
+    if needed > resolved["n"]:
+        raise InvalidParameterError(
+            f"filter {resolved['filter']!r} with f={resolved['f']} needs at "
+            f"least {needed} gradients, but the instance has n={resolved['n']}"
+        )
 
 
 def _validate_bench_params(params: Dict) -> None:

@@ -43,6 +43,7 @@ randomized and adaptive attacks (``random``, ``alie``, ``ipm``, ``mimic``,
 from __future__ import annotations
 
 import time
+import warnings
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -303,17 +304,28 @@ def run_dgd_batch(
     reason = batch_unsupported_reason(costs, behavior, config, gradient_filter)
     if reason is not None:
         traces = []
-        for k, seed in enumerate(seeds):
-            if tel:
-                tel.emit("run_start", run=k, seed=_json_seed(seed), reason=reason)
-            traces.append(
-                run_dgd(
-                    costs,
-                    behavior,
-                    apply_config_overrides(config, {"seed": seed}),
-                    telemetry=tel,
-                )
-            )
+        # run_dgd warns once per seed, from this frame. Record its warnings
+        # and re-emit each distinct one once, at the caller, as the fast
+        # path warns; a run that raises must not swallow them.
+        caught: List[warnings.WarningMessage] = []
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                for k, seed in enumerate(seeds):
+                    if tel:
+                        tel.emit("run_start", run=k, seed=_json_seed(seed), reason=reason)
+                    traces.append(
+                        run_dgd(
+                            costs,
+                            behavior,
+                            apply_config_overrides(config, {"seed": seed}),
+                            telemetry=tel,
+                        )
+                    )
+        finally:
+            for message, category in dict.fromkeys(
+                (str(w.message), w.category) for w in caught
+            ):
+                warnings.warn(message, category, stacklevel=2)
         return traces
 
     K = len(seeds)

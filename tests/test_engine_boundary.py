@@ -105,6 +105,30 @@ def test_constant_step_size_warns_at_the_caller(engine):
     assert [w.filename for w in record] == [__file__]
 
 
+@pytest.mark.parametrize("gradient_filter", ["clipping", "cge"],
+                         ids=["fallback", "fast"])
+def test_batch_warns_once_at_the_caller(gradient_filter):
+    # The fallback runs run_dgd once per seed; its warnings are emitted
+    # once per batch and name run_dgd_batch's caller, as the fast path's do.
+    with pytest.warns(UserWarning) as record:
+        run_dgd_batch(_costs(), None, gradient_filter=gradient_filter,
+                      seeds=[1, 2], iterations=3,
+                      step_sizes=ConstantStepSize(0.01))
+    warned = [w for w in record if "Robbins-Monro" in str(w.message)]
+    assert [w.filename for w in warned] == [__file__]
+
+
+def test_batch_fallback_that_raises_still_warns():
+    # run_dgd warns before it rejects x0; the batch re-emits the warning.
+    with pytest.warns(UserWarning) as record:
+        with pytest.raises(InvalidParameterError, match="x0"):
+            run_dgd_batch(_costs(), None, gradient_filter="clipping",
+                          seeds=[1, 2], iterations=3, x0=[np.nan, 0.0],
+                          step_sizes=ConstantStepSize(0.01))
+    warned = [w for w in record if "Robbins-Monro" in str(w.message)]
+    assert [w.filename for w in warned] == [__file__]
+
+
 @ENGINES
 def test_non_finite_x0_named(engine):
     with pytest.raises(InvalidParameterError, match="x0 contains non-finite"):

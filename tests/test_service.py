@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.exceptions import AdmissionRejectedError, ServiceError
+from repro.exceptions import AdmissionRejectedError, ReproError, ServiceError
 from repro.experiments.sweep import RegressionGrid, SweepEngine
 from repro.service import ReproService, ServiceClient, ServiceConfig
 
@@ -151,12 +151,14 @@ class TestServiceEndToEnd:
         listed = [j["job_id"] for j in harness.client.jobs()]
         assert listed == [a["job_id"], b["job_id"]]
 
-    def test_failed_job_reports_error(self, harness):
-        # valid spec, infeasible configuration at execution time: the
-        # instance (n=6, d=2, f=1) passes the submit checks, but Bulyan
-        # needs n >= 4f + 3 gradients, which the run finds out in round 0.
-        record = harness.client.submit(
-            "run", {"filter": "bulyan", "iterations": 10})
+    def test_failed_job_reports_error(self, harness, monkeypatch):
+        # A valid spec whose execution raises a domain error: the job
+        # ends failed and carries the error.
+        def fail(record):
+            raise ReproError("injected execution failure")
+
+        monkeypatch.setattr(harness.service.executor, "_execute_run", fail)
+        record = harness.client.submit("run", {"iterations": 10})
         final = harness.client.wait(record["job_id"], timeout=60)
         assert final["state"] == "failed"
         assert final["error"]

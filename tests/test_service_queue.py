@@ -55,6 +55,7 @@ class TestSpecValidation:
         ("sweep", {"x0": [1, 2, 3]}),
         ("sweep", {"n": 6, "d": 5}),
         ("sweep", {"noise_std": -0.5}),
+        ("run", {"filter": "bulyan"}),
     ])
     def test_unbuildable_instance_rejected(self, kind, params):
         # Each of these used to be admitted and then fail in the executor

@@ -127,6 +127,41 @@ class TestSharedPool:
         assert counts.get("cache_hit", 0) == len(cells)
         assert counts.get("cache_miss", 0) == 0
 
+    def test_cached_grid_does_not_wait_for_a_busy_pool(self, tmp_path):
+        # Hits are resolved before dispatch: a fully cached grid returns
+        # while another job holds the shared pool.
+        cache = str(tmp_path / "cache")
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            pool.acquire()
+            held.set()
+            release.wait()
+            pool.release()
+
+        with SharedProcessPool(max_workers=2) as pool:
+            SweepEngine(parallel=True, pool=pool,
+                        cache_dir=cache).run_regression_grid(GRID_A)
+            engine = SweepEngine(parallel=True, pool=pool, cache_dir=cache)
+            out = {}
+            holder = threading.Thread(target=hold)
+            runner = threading.Thread(target=lambda: out.__setitem__(
+                "cells", engine.run_regression_grid(GRID_A)))
+            holder.start()
+            assert held.wait(timeout=10)
+            try:
+                runner.start()
+                runner.join(timeout=1.0)
+                finished = not runner.is_alive()
+            finally:
+                release.set()
+                holder.join(timeout=10)
+                runner.join(timeout=60)
+            assert not holder.is_alive() and not runner.is_alive()
+        assert finished, "a fully cached grid waited for the busy pool"
+        assert all(cell.cached for cell in out["cells"])
+        assert "chunk_done" not in engine.events.counts()
+
     def test_closed_pool_refuses_new_work(self):
         pool = SharedProcessPool(max_workers=1)
         pool.close()

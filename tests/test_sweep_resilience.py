@@ -16,6 +16,12 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.experiments.sweep import RegressionGrid, SweepEngine, summarize_grid
+from repro.experiments.topology_resilience import run_topology_resilience
+from repro.experiments.tournament import (
+    AttackSpec,
+    TournamentConfig,
+    run_tournament,
+)
 from repro.system.faultinjection import (
     CrashOnCalls,
     FailEveryNth,
@@ -25,6 +31,7 @@ from repro.system.faultinjection import (
     HangOnCalls,
     corrupt_cache_entry,
 )
+from repro.utils.atomicio import read_json_checked, write_json_atomic
 
 GRID = RegressionGrid(
     filters=("cge", "average"),
@@ -241,10 +248,16 @@ class TestAcceptanceScenario:
     def test_chaos_sweep_completes_bit_identical(self, tmp_path):
         cache = str(tmp_path / "cache")
         # Fault-free sequential seeding run: ground truth + warm cache.
-        reference = SweepEngine(
-            parallel=False, cache_dir=cache
-        ).run_regression_grid(self.GRID)
-        corrupt_cache_entry(cache, index=2, mode="bitflip", seed=7)
+        seeding = SweepEngine(parallel=False, cache_dir=cache)
+        reference = seeding.run_regression_grid(self.GRID)
+        # A run killed after its first group: only that group's two cells
+        # reached the disk, and one of them is damaged. Cache hits never
+        # reach a worker, so the other five groups give the chaos-wrapped
+        # workers something to run.
+        keys = [cell["key"] for cell in seeding._grid_cells(self.GRID)]
+        for key in keys[2:]:
+            os.remove(os.path.join(cache, f"{key}.json"))
+        corrupt_cache_entry(cache, index=0, mode="bitflip", seed=7)
 
         # Chaos pass: 1-in-5 worker raises, one hard process crash, one
         # hung chunk, against the damaged cache. retries=4 covers the
@@ -277,13 +290,112 @@ class TestAcceptanceScenario:
         )
         assert disruptions >= 2
         assert counts.get("pool_rebuild", 0) >= 1
-        # ...and the corrupted entry was the only recomputation.
+        # ...and only the damaged and the missing cells were recomputed.
         assert counts["cache_corrupt"] == 1
-        assert counts["cache_hit"] == len(reference) - 1
+        assert counts["cache_hit"] == 1
+        assert counts["cache_miss"] == len(reference) - 2
         # The JSONL mirror survives for post-mortems.
         from repro.experiments.sweep import SweepEvents
 
         assert SweepEvents.load(str(tmp_path / "events.jsonl")) == engine.events.records
+
+
+def _grid_case(engine, failing):
+    # Bulyan needs n >= 4f + 3 = 7 gradients; the instance has n = 6.
+    grid = RegressionGrid(filters=("bulyan" if failing else "average", "cge"),
+                          attacks=("zero",), num_seeds=2, iterations=15)
+    cells = engine.run_regression_grid(grid)
+    outputs = [(c.filter_name, c.seed, c.error,
+                None if c.failed else c.estimates.tolist()) for c in cells]
+    return outputs, [c.failed for c in cells], grid
+
+
+def _tournament_case(engine, failing):
+    config = TournamentConfig(
+        name="cache", filters=("bulyan" if failing else "average", "cge"),
+        attacks=(AttackSpec.with_params("zero", "zero"),), rounds=1,
+        num_seeds=2, iterations=15, n=6,
+    )
+    payload = run_tournament(config, engine)
+    outputs = {key: value for key, value in payload.items()
+               if key not in ("provenance", "execution")}
+    failed = [m["outcome"] == "error" for m in payload["rounds"][0]["matches"]]
+    return outputs, failed, None
+
+
+def _topology_case(engine, failing):
+    result = run_topology_resilience(
+        variants=(("ring", {"hops": 1}), ("complete", {})), fault_counts=(0,),
+        fault_models=("clean",), n=8, iterations=15, engine=engine,
+    )
+    return result.rows, [False] * len(result.rows), None
+
+
+CALLERS = {"grid": _grid_case, "tournament": _tournament_case,
+           "topology": _topology_case}
+
+
+def _cache_events(engine):
+    return [r for r in engine.events.records if r["event"].startswith("cache_")]
+
+
+class TestEngineOwnedCache:
+    """The grid, the tournament and E17 share map_cached's cache rules."""
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_warm_run_all_hits_one_event_per_cell(self, tmp_path, caller):
+        cache = str(tmp_path / "cache")
+        cold_engine = SweepEngine(parallel=False, cache_dir=cache)
+        cold, failed, _ = CALLERS[caller](cold_engine, failing=False)
+        engine = SweepEngine(parallel=False, cache_dir=cache)
+        warm, _, _ = CALLERS[caller](engine, failing=False)
+        assert warm == cold
+        cold_events, warm_events = _cache_events(cold_engine), _cache_events(engine)
+        assert len(warm_events) == len(failed)
+        assert {r["event"] for r in cold_events} == {"cache_miss"}
+        assert {r["event"] for r in warm_events} == {"cache_hit"}
+        assert [(r["key"], r["seed"]) for r in warm_events] == [
+            (r["key"], r["seed"]) for r in cold_events
+        ]
+        assert len({r["key"] for r in warm_events}) == len(warm_events)
+
+    @pytest.mark.parametrize("caller", ["grid", "tournament"])
+    def test_failed_cell_never_stored(self, tmp_path, caller):
+        cache = str(tmp_path / "cache")
+        engine = SweepEngine(parallel=False, cache_dir=cache)
+        _, failed, grid = CALLERS[caller](engine, failing=True)
+        keys = [r["key"] for r in _cache_events(engine)]
+        bad = [key for key, fail in zip(keys, failed) if fail]
+        assert bad and len(bad) < len(keys)
+        for key in bad:
+            assert not os.path.exists(os.path.join(cache, f"{key}.json"))
+        if grid is not None:
+            assert keys == [cell["key"] for cell in engine._grid_cells(grid)]
+            progress = engine.grid_progress(grid)
+            assert progress["pending"] == bad
+            assert progress["completed"] == len(keys) - len(bad)
+        rerun = SweepEngine(parallel=False, cache_dir=cache)
+        CALLERS[caller](rerun, failing=True)
+        states = {r["key"]: r["event"] for r in _cache_events(rerun)}
+        assert [key for key in keys if states[key] == "cache_miss"] == bad
+        assert all(states[key] == "cache_hit" for key in keys if key not in bad)
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_error_entry_reads_as_corrupt(self, tmp_path, caller):
+        cache = str(tmp_path / "cache")
+        cold_engine = SweepEngine(parallel=False, cache_dir=cache)
+        cold, _, _ = CALLERS[caller](cold_engine, failing=False)
+        victim = _cache_events(cold_engine)[0]["key"]
+        path = os.path.join(cache, f"{victim}.json")
+        # What an older engine stored for a failed regression cell.
+        write_json_atomic(path, {"error": "InvalidParameterError: stale"})
+        engine = SweepEngine(parallel=False, cache_dir=cache)
+        warm, _, _ = CALLERS[caller](engine, failing=False)
+        assert warm == cold
+        states = [(r["event"], r["key"]) for r in _cache_events(engine)]
+        assert states[0] == ("cache_corrupt", victim)
+        assert {event for event, _ in states[1:]} == {"cache_hit"}
+        assert "error" not in read_json_checked(path)
 
 
 class TestRoundHookInjection:
