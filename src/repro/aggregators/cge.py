@@ -86,7 +86,16 @@ class ComparativeGradientElimination(GradientFilter):
         return total
 
     def _aggregate_batch(self, tensor: np.ndarray) -> np.ndarray:
-        return kernels.cge_aggregate_batch(tensor, self._f, self._mode)
+        return self._aggregate_batch_kept(tensor)[0]
+
+    def _aggregate_batch_kept(self, tensor: np.ndarray):
+        """Batched CGE and the kept sets it summed: ``(K, d)``, ``(K, n − f)``.
+
+        The batch engine's telemetry reports these kept sets, so a traced
+        round selects them once.
+        """
+        kept = self._kept_indices_batch(tensor)
+        return kernels.cge_sum_kept_batch(tensor, kept, self._mode), kept
 
     def __repr__(self) -> str:
         return f"ComparativeGradientElimination(f={self._f}, mode={self._mode!r})"

@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "cge_aggregate_batch",
+    "cge_sum_kept_batch",
     "cge_kept_indices",
     "cge_kept_indices_batch",
     "partition_trimmed_mean",
@@ -127,7 +128,11 @@ def cge_kept_indices_batch(tensor: np.ndarray, f: int) -> np.ndarray:
 
 def cge_aggregate_batch(tensor: np.ndarray, f: int, mode: str = "sum") -> np.ndarray:
     """Batched CGE: sum (or mean) of each slice's ``n - f`` smallest-norm rows."""
-    kept = cge_kept_indices_batch(tensor, f)
+    return cge_sum_kept_batch(tensor, cge_kept_indices_batch(tensor, f), mode)
+
+
+def cge_sum_kept_batch(tensor: np.ndarray, kept: np.ndarray, mode: str = "sum") -> np.ndarray:
+    """Sum (or mean) of each slice's ``kept`` rows: ``(K, n, d)`` → ``(K, d)``."""
     total = np.take_along_axis(tensor, kept[:, :, None], axis=1).sum(axis=1)
     if mode == "mean":
         return total / kept.shape[1]

@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--runs", type=int, default=1,
-        help="replicate runs; >1 profiles the vectorized batch engine "
-        "(seeds derived from --seed)",
+        help="replicate runs of the vectorized batch engine; one run uses "
+        "--seed, more derive their seeds from it",
     )
     profile.add_argument(
         "--telemetry", metavar="PATH", default=None,
@@ -947,33 +947,25 @@ def _command_profile(args) -> int:
     if args.telemetry:
         sinks.append(JSONLSink(args.telemetry))
     telemetry = Telemetry(sinks, byzantine_ids=faulty, reference_point=x_H)
-    if args.runs == 1:
-        run_dgd(
-            instance.costs,
-            behavior,
-            gradient_filter=args.filter_name,
-            faulty_ids=faulty,
-            iterations=args.iterations,
-            seed=args.seed,
-            telemetry=telemetry,
-        )
-    else:
-        seeds = [derive_seed(rng) for rng in spawn_rngs(args.seed, args.runs)]
-        run_dgd_batch(
-            instance.costs,
-            behavior,
-            seeds=seeds,
-            gradient_filter=args.filter_name,
-            faulty_ids=faulty,
-            iterations=args.iterations,
-            telemetry=telemetry,
-        )
+    # One run keeps --seed itself, which gives run_dgd's trajectory.
+    seeds = (
+        [args.seed] if args.runs == 1
+        else [derive_seed(rng) for rng in spawn_rngs(args.seed, args.runs)]
+    )
+    run_dgd_batch(
+        instance.costs,
+        behavior,
+        seeds=seeds,
+        gradient_filter=args.filter_name,
+        faulty_ids=faulty,
+        iterations=args.iterations,
+        telemetry=telemetry,
+    )
     summary = telemetry.summary()
     telemetry.close()
-    engine = "run_dgd" if args.runs == 1 else f"run_dgd_batch x{args.runs}"
     print(_render_telemetry_summary(
         summary,
-        title=(f"profile: {engine}, filter={args.filter_name}, "
+        title=(f"profile: run_dgd_batch x{args.runs}, filter={args.filter_name}, "
                f"attack={args.attack if faulty else '(none)'}, "
                f"n={args.n}, f={args.f}, d={args.d}, T={args.iterations}"),
     ))

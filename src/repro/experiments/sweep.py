@@ -69,6 +69,7 @@ import json
 import os
 import pickle
 import random
+import sys
 import threading
 import time
 import warnings
@@ -183,6 +184,11 @@ class SweepEvents:
     def counts(self) -> Dict[str, int]:
         """Event name → number of occurrences."""
         return count_events(self.records)
+
+    def close(self) -> None:
+        """Close the JSONL file; the in-memory log stays readable."""
+        for sink in self._sinks:
+            sink.close()
 
     load = staticmethod(load_jsonl)
 
@@ -716,11 +722,15 @@ class SweepEngine:
     # ------------------------------------------------------------------
 
     def _warn_once(self, key: str, message: str) -> None:
-        """Emit ``message`` at most once per engine instance per ``key``."""
+        """Emit ``message`` at most once per engine instance per ``key``,
+        attributed to the first caller outside this module."""
         if key in self._warned:
             return
         self._warned.add(key)
-        warnings.warn(message, stacklevel=3)
+        frame, stacklevel = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename == __file__:
+            frame, stacklevel = frame.f_back, stacklevel + 1
+        warnings.warn(message, stacklevel=stacklevel)
 
     def _backoff(self, attempt: int) -> None:
         if self._retry_backoff <= 0:

@@ -9,9 +9,9 @@ for loading, counting, and post-mortem tooling. Two sinks are provided:
   touching disk);
 - :class:`JSONLSink` mirrors each record to disk as one JSON line the
   moment it is emitted, following the durability discipline of
-  :mod:`repro.utils.atomicio`: every line is written and flushed whole, so
-  a killed process leaves a readable prefix, and :func:`load_jsonl` skips a
-  torn final line instead of failing the post-mortem. Point-in-time
+  :mod:`repro.utils.atomicio`: every line goes to the kernel in one write,
+  so a killed process leaves a readable prefix, and :func:`load_jsonl`
+  skips a torn final line instead of failing the post-mortem. Point-in-time
   documents (summaries) go through :func:`write_summary_atomic`, which is
   the checksummed write-then-rename path of
   :func:`repro.utils.atomicio.write_json_atomic`.
@@ -65,18 +65,24 @@ class MemorySink(TelemetrySink):
 
 
 class JSONLSink(TelemetrySink):
-    """Appends each record to ``path`` as one JSON line, flushed per record.
+    """Appends each record to ``path`` as one JSON line.
 
-    The file is truncated on construction (each stream owns its file, as
-    the sweep event log does). Records are serialized with sorted keys so
-    streams are diffable; numpy scalars and arrays are coerced to plain
-    JSON types. Each line is written in a single append-and-flush, so a
-    reader — or a post-mortem after a kill — sees only whole lines plus at
-    most one torn final line, which :func:`load_jsonl` skips.
+    The file is truncated and opened once, on construction (each stream
+    owns its file, as the sweep event log does), and stays open until
+    :meth:`close`. Records are serialized with sorted keys so streams are
+    diffable; numpy scalars and arrays are coerced to plain JSON types.
 
-    Thread-safe: concurrent emitters are serialized on a per-sink lock, so
-    a sink shared by racing writers (the aggregation service's job slots)
-    never interleaves partial lines — every line of the stream parses.
+    The file is unbuffered: each line reaches the kernel in one write,
+    followed by a flush, and no user-space buffer ever
+    holds part of a line, so a process forked while the file is open (a
+    pool worker) inherits no pending bytes, and a reader or a post-mortem
+    after a kill sees only whole lines plus at most one torn final line,
+    which :func:`load_jsonl` skips.
+
+    Thread-safe: emits and :meth:`close` are serialized on a per-sink lock,
+    so a sink shared by racing writers (the aggregation service's job
+    slots) never interleaves partial lines, and an emit either writes its
+    whole line or, once the sink is closed, raises ``ValueError``.
     """
 
     def __init__(self, path: str):
@@ -84,15 +90,18 @@ class JSONLSink(TelemetrySink):
         self._lock = threading.Lock()
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8"):
-            pass  # own the file: each stream starts fresh
+        self._file = open(path, "wb", buffering=0)
 
     def emit(self, record: Dict) -> None:
-        line = json.dumps(record, sort_keys=True, default=_json_default)
+        data = (_ENCODER.encode(record) + "\n").encode("utf-8")
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+            self._file.write(data)
+            self._file.flush()
+
+    def close(self) -> None:
+        """Close the file; idempotent."""
+        with self._lock:
+            self._file.close()
 
 
 def _json_default(value: Any):
@@ -104,6 +113,10 @@ def _json_default(value: Any):
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
+
+
+#: ``json.dumps(record, sort_keys=True, default=_json_default)``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_json_default)
 
 
 def load_jsonl(path: str) -> List[Dict]:

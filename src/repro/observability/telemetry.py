@@ -18,6 +18,12 @@ paths guard record construction with ``if telemetry:`` so a disabled run
 executes exactly the pre-telemetry instruction stream (the bit-identity
 suites pin this down).
 
+A closed handle writes nothing more: records emitted after
+:meth:`Telemetry.close` (say, by a job thread that runs on after a shutdown
+flush closed its handle) are dropped and counted on ``Telemetry.dropped``,
+so a stream always ends with its ``summary``. Telemetry never changes a
+run's numbers, so the run itself carries on.
+
 Records share one schema with the sweep engine's
 :class:`~repro.experiments.sweep.SweepEvents` log: flat JSON objects with
 an ``"event"`` key, mirrored to JSONL the moment they are emitted. See
@@ -26,7 +32,9 @@ an ``"event"`` key, mirrored to JSONL the moment they are emitted. See
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -221,6 +229,8 @@ class Telemetry:
         self._elim_fp = 0
         self._elim_fn = 0
         self.emitted = 0
+        self.dropped = 0
+        self._lock = threading.RLock()
         self._byzantine: set = set(_id_list(byzantine_ids))
         self._reference = (
             None if reference_point is None
@@ -284,15 +294,23 @@ class Telemetry:
         On a traced handle, records that do not already carry lineage are
         stamped with the innermost open span's ``trace_id``/``span_id``
         (span records stamp their own context in :meth:`_record_span`).
+        After :meth:`close` the record is dropped and counted on
+        :attr:`dropped` instead.
         """
-        record = {"event": event, **fields}
+        return self._emit_record({"event": event, **fields})
+
+    def _emit_record(self, record: Dict) -> Dict:
         if self._trace is not None and "trace_id" not in record:
             context = self._current_trace_context()
             record["trace_id"] = context.trace_id
             record["span_id"] = context.span_id
-        for sink in self._sinks:
-            sink.emit(record)
-        self.emitted += 1
+        with self._lock:
+            if self._closed:
+                self.dropped += 1
+                return record
+            for sink in self._sinks:
+                sink.emit(record)
+            self.emitted += 1
         return record
 
     def increment(self, name: str, by: int = 1) -> None:
@@ -357,56 +375,103 @@ class Telemetry:
         step_size: float,
         gradient_norms,
         agent_ids: Optional[Sequence[int]] = None,
-        kept_ids: Optional[Sequence[int]] = None,
+        kept_ids=None,
         estimate=None,
-        run: Optional[int] = None,
-        seed=None,
-    ) -> Dict:
-        """Record one protocol round's filter outcome.
+        seeds: Optional[Sequence] = None,
+    ) -> Union[Dict, List[Dict]]:
+        """Record one protocol round's filter outcome for each of ``K`` runs.
 
-        ``kept_ids`` is the filter's surviving agent set (``None`` for
-        filters without row-elimination semantics, e.g. coordinate-wise
-        ones — such rounds carry norm/step data but do not contribute to
-        elimination precision/recall). ``agent_ids`` maps gradient rows to
-        agent ids and defaults to ``0..n-1``.
+        ``gradient_norms`` is ``(K, n)``: row ``k`` holds run ``k``'s
+        gradient norms. ``kept_ids`` is ``(K, n_kept)``, each run's
+        surviving agent set (``None`` for filters without row-elimination
+        semantics, e.g. coordinate-wise ones — such rounds carry norm/step
+        data but do not contribute to elimination precision/recall).
+        ``estimate`` is ``(K, d)``. ``agent_ids`` maps gradient columns to
+        agent ids, the same for every run, and defaults to ``0..n-1``.
+        With ``seeds`` given, record ``k`` also carries ``run=k`` and
+        ``seed=seeds[k]``.
+
+        Norm statistics come from one sort of all ``K`` rows, and the
+        shared part of the elimination scoring is done once per round; each
+        record holds the bytes a one-run computation gives. Returns the
+        ``K`` records, or, for 1-D inputs (one run), that run's record.
         """
         norms = np.asarray(gradient_norms, dtype=float)
-        present = _id_list(
-            agent_ids if agent_ids is not None else range(norms.shape[0])
-        )
-        record: Dict = {
-            "round": int(round_index),
-            "filter": str(filter_name),
-            "step_size": float(step_size),
-            "grad_norm_min": float(norms.min()),
-            "grad_norm_median": float(np.median(norms)),
-            "grad_norm_max": float(norms.max()),
-        }
+        single = norms.ndim == 1
+        norms = norms.reshape(-1, norms.shape[-1])
+        K, n = norms.shape
+        # np.median's bytes: the middle value, or the mean of the middle two.
+        ordered = np.sort(norms, axis=1)
+        half = n // 2
+        medians = ordered[:, half] if n % 2 else (ordered[:, half - 1] + ordered[:, half]) / 2
+        lows, highs = ordered[:, 0], ordered[:, -1]
+        if np.isnan(highs).any():
+            # A NaN sorts last; np.min and np.median return it for its row.
+            lows = np.where(np.isnan(highs), highs, lows)
+            medians = np.where(np.isnan(highs), highs, medians)
+        lows, medians, highs = lows.tolist(), medians.tolist(), highs.tolist()
+        kept = None
         if kept_ids is not None:
-            kept = _id_list(kept_ids)
-            eliminated = sorted(set(present) - set(kept))
-            byz_present = self._byzantine & set(present)
-            eliminated_byzantine = len(self._byzantine & set(eliminated))
-            surviving_byzantine = len(byz_present) - eliminated_byzantine
-            record.update(
-                kept=kept,
-                eliminated=eliminated,
-                eliminated_byzantine=eliminated_byzantine,
-                surviving_byzantine=surviving_byzantine,
+            kept = np.atleast_2d(np.asarray(kept_ids, dtype=np.intp)).tolist()
+            eliminated, caught, surviving = self._score_eliminations(
+                kept, range(n) if agent_ids is None else agent_ids
             )
-            self._elim_tp += eliminated_byzantine
-            self._elim_fp += len(eliminated) - eliminated_byzantine
-            self._elim_fn += surviving_byzantine
+        distances = None
         if estimate is not None and self._reference is not None:
-            record["distance_to_ref"] = float(
-                np.linalg.norm(np.asarray(estimate, dtype=float) - self._reference)
-            )
-        if run is not None:
-            record["run"] = int(run)
-        if seed is not None:
-            record["seed"] = int(seed) if isinstance(seed, (int, np.integer)) else str(seed)
-        self._rounds += 1
-        return self.emit("round", **record)
+            offsets = np.atleast_2d(np.asarray(estimate, dtype=float)) - self._reference
+            # One dot per run: the bytes np.linalg.norm gives one vector.
+            distances = [math.sqrt(row.dot(row)) for row in offsets]
+        step = float(step_size)
+        records = []
+        for k in range(K):
+            record: Dict = {
+                "event": "round",
+                "round": int(round_index),
+                "filter": str(filter_name),
+                "step_size": step,
+                "grad_norm_min": lows[k],
+                "grad_norm_median": medians[k],
+                "grad_norm_max": highs[k],
+            }
+            if kept is not None:
+                record["kept"] = kept[k]
+                record["eliminated"] = eliminated[k]
+                record["eliminated_byzantine"] = caught[k]
+                record["surviving_byzantine"] = surviving[k]
+            if distances is not None:
+                record["distance_to_ref"] = distances[k]
+            if seeds is not None:
+                seed = seeds[k]
+                record["run"] = k
+                record["seed"] = (
+                    int(seed) if isinstance(seed, (int, np.integer)) else str(seed)
+                )
+            records.append(self._emit_record(record))
+        self._rounds += K
+        return records[0] if single else records
+
+    def _score_eliminations(self, kept_sets: List[List[int]], present) -> tuple:
+        """Each run's eliminated list, and how many Byzantine agents it
+        caught and let survive.
+
+        A run's eliminated list is the sorted set ``present − kept``, and a
+        Byzantine agent counts only when present. Adds the round's
+        confusion counts to the handle's running totals.
+        """
+        present = sorted(set(_id_list(present)))
+        byzantine_present = len(self._byzantine.intersection(present))
+        eliminated, caught, surviving = [], [], []
+        for kept in kept_sets:
+            kept_set = set(kept)
+            out = [agent for agent in present if agent not in kept_set]
+            hits = len(self._byzantine.intersection(out))
+            eliminated.append(out)
+            caught.append(hits)
+            surviving.append(byzantine_present - hits)
+            self._elim_tp += hits
+            self._elim_fp += len(out) - hits
+            self._elim_fn += byzantine_present - hits
+        return eliminated, caught, surviving
 
     def record_liveness(
         self,
@@ -480,25 +545,26 @@ class Telemetry:
         re-loaded stream reproduces :meth:`summary` without the live
         handle.
         """
-        if self._closed:
-            return
-        self._closed = True
-        if self._trace is not None and self._trace_name is not None:
-            # Register the handle's own lifetime as a span under its root
-            # context, so streams written by a pool worker contribute the
-            # node that parents their "run"/"round" spans in the
-            # reconstructed cross-process tree.
-            self._record_span(
-                self._trace_name,
-                time.perf_counter() - self._born_perf,
-                context=self._trace,
-                ts=self._born_ts,
-            )
-        if self.counters:
-            self.emit("counters", **self.counters)
-        self.emit("summary", **self.summary())
-        for sink in self._sinks:
-            sink.close()
+        with self._lock:
+            if self._closed:
+                return
+            if self._trace is not None and self._trace_name is not None:
+                # Register the handle's own lifetime as a span under its
+                # root context, so streams written by a pool worker
+                # contribute the node that parents their "run"/"round"
+                # spans in the reconstructed cross-process tree.
+                self._record_span(
+                    self._trace_name,
+                    time.perf_counter() - self._born_perf,
+                    context=self._trace,
+                    ts=self._born_ts,
+                )
+            if self.counters:
+                self.emit("counters", **self.counters)
+            self.emit("summary", **self.summary())
+            self._closed = True
+            for sink in self._sinks:
+                sink.close()
 
     def __enter__(self) -> "Telemetry":
         return self

@@ -186,22 +186,25 @@ class JobExecutor:
         root = self._trace_root(record)
         started_ts = time.time()
         started = time.perf_counter()
-        # A restarted attempt is a resume: the event log then proves how
-        # much of the grid was recovered from the shared cell cache.
-        if record.attempts > 1:
-            cells = engine.resume(grid)
-        else:
-            cells = engine.run_regression_grid(grid)
-        if root is not None:
-            # Close the root "job" span over the engine's own stream so
-            # the whole tree reconstructs from the job directory alone.
-            engine.events.emit(
-                "span",
-                name="job",
-                seconds=time.perf_counter() - started,
-                ts=started_ts,
-                **root.fields(),
-            )
+        try:
+            # A restarted attempt is a resume: the event log then proves
+            # how much of the grid was recovered from the shared cell cache.
+            if record.attempts > 1:
+                cells = engine.resume(grid)
+            else:
+                cells = engine.run_regression_grid(grid)
+            if root is not None:
+                # Close the root "job" span over the engine's own stream so
+                # the whole tree reconstructs from the job directory alone.
+                engine.events.emit(
+                    "span",
+                    name="job",
+                    seconds=time.perf_counter() - started,
+                    ts=started_ts,
+                    **root.fields(),
+                )
+        finally:
+            engine.events.close()
         counts = engine.events.counts()
         self._cache_hits_total.inc(counts.get("cache_hit", 0))
         self._cache_misses_total.inc(counts.get("cache_miss", 0))
@@ -241,9 +244,9 @@ class JobExecutor:
     def _execute_run(self, record: JobRecord) -> Dict:
         from repro.analysis.metrics import final_error
         from repro.attacks.registry import make_attack
-        from repro.observability import JSONLSink, MemorySink, Telemetry
+        from repro.observability import Telemetry
         from repro.problems.linear_regression import make_redundant_regression
-        from repro.system.runner import run_dgd
+        from repro.system.batch import run_dgd_batch
 
         params = {**RUN_DEFAULTS, **record.spec.params}
         n = int(params["n"])
@@ -264,7 +267,7 @@ class JobExecutor:
         behavior = make_attack(attack_name) if faulty else None
         root = self._trace_root(record)
         telemetry = Telemetry(
-            [MemorySink(), JSONLSink(self.store.events_path(record.job_id))],
+            self.store.events_path(record.job_id),
             byzantine_ids=faulty,
             reference_point=x_H,
             trace=root,
@@ -272,13 +275,15 @@ class JobExecutor:
         )
         self._register_handle(record.job_id, telemetry)
         try:
-            trace = run_dgd(
+            # A batch of one is bit-identical to run_dgd at this seed, and
+            # falls back to run_dgd itself where it cannot vectorize.
+            (trace,) = run_dgd_batch(
                 instance.costs,
                 behavior,
                 gradient_filter=filter_name,
                 faulty_ids=faulty,
                 iterations=iterations,
-                seed=seed,
+                seeds=[seed],
                 telemetry=telemetry,
             )
         finally:

@@ -206,41 +206,6 @@ def _json_seed(seed: SeedLike):
     return int(seed) if isinstance(seed, (int, np.integer)) else str(seed)
 
 
-def _emit_round_records(
-    tel,
-    gradient_filter: GradientFilter,
-    filter_name: str,
-    M: np.ndarray,
-    X: np.ndarray,
-    eta: float,
-    t: int,
-    seeds: Sequence[SeedLike],
-) -> None:
-    """One telemetry round record per run slice (telemetry-enabled only).
-
-    ``M`` is the *already-sanitized* tensor the aggregation consumed — the
-    round loop sanitizes exactly once per round and shares the result, so
-    the records describe the same bytes the filter saw without a second
-    sanitize pass. Norm statistics and kept sets are computed in vectorized
-    passes; only the final per-run record assembly is a Python loop.
-    """
-    norms = np.linalg.norm(M, axis=2)
-    kept = None
-    if hasattr(gradient_filter, "_kept_indices_batch"):
-        kept = gradient_filter._kept_indices_batch(M)
-    for k in range(M.shape[0]):
-        tel.record_round(
-            round_index=t,
-            filter_name=filter_name,
-            step_size=eta,
-            gradient_norms=norms[k],
-            kept_ids=None if kept is None else kept[k],
-            estimate=X[k],
-            run=k,
-            seed=_json_seed(seeds[k]),
-        )
-
-
 def run_dgd_batch(
     costs: Sequence[CostFunction],
     behavior: Optional[ByzantineBehavior] = None,
@@ -271,7 +236,8 @@ def run_dgd_batch(
         Optional :class:`~repro.observability.Telemetry` handle (or JSONL
         path), defaulting to the no-op. On the fast path it emits one
         ``"round"`` record per round *per run slice* (tagged ``run=k`` and
-        ``seed=seeds[k]``), with the filter's kept set computed by the
+        ``seed=seeds[k]``) inside that round's ``"round"`` span, as
+        :func:`run_dgd` does, with the filter's kept set computed by the
         batched kernel — norms and kept indices are derived from the same
         stacked tensor the filter aggregates, outside the arithmetic of
         the update itself, so enabling telemetry never perturbs the
@@ -385,15 +351,26 @@ def run_dgd_batch(
                 # The round's single sanitize pass: aggregation and the
                 # telemetry records below both consume this tensor.
                 M = GradientFilter.sanitize(M)
-                D = gradient_filter.aggregate_batch(M, presanitized=True)
+                kept = None
+                if tel and hasattr(gradient_filter, "_aggregate_batch_kept"):
+                    # The kept sets the records report, built once.
+                    D, kept = gradient_filter._aggregate_batch_kept(M)
+                else:
+                    D = gradient_filter.aggregate_batch(M, presanitized=True)
                 directions[:, t] = D
                 eta = step_sizes(t)
                 X = project_batch(X - eta * D)
                 estimates[:, t + 1] = X
-            if tel:
-                _emit_round_records(
-                    tel, gradient_filter, filter_name, M, X, eta, t, seeds
-                )
+                if tel:
+                    tel.record_round(
+                        round_index=t,
+                        filter_name=filter_name,
+                        step_size=eta,
+                        gradient_norms=np.linalg.norm(M, axis=2),
+                        kept_ids=kept,
+                        estimate=X,
+                        seeds=seeds,
+                    )
             if round_hook is not None:
                 round_hook(t)
     elapsed = time.perf_counter() - start

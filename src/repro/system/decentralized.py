@@ -509,9 +509,8 @@ def run_decentralized_dgd(
                     round_index=t,
                     filter_name=f"decentralized-{aggregation}",
                     step_size=eta,
-                    gradient_norms=np.linalg.norm(G[honest_arr], axis=1),
-                    kept_ids=None,
-                    estimate=mean_trajectory[t + 1],
+                    gradient_norms=np.linalg.norm(G[honest_arr], axis=1)[None],
+                    estimate=mean_trajectory[t + 1 : t + 2],
                 )
                 if faulted:
                     # Per-agent/per-edge health time-series: the live

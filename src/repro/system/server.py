@@ -270,8 +270,8 @@ def record_filter_round(
     estimate: np.ndarray,
     agent_ids: Optional[Sequence[int]] = None,
 ) -> None:
-    """Emit one round's filter record; the server and the peer-to-peer
-    engine both call it (telemetry-enabled path only).
+    """Emit one round's filter record, as a round of one run; the server
+    and the peer-to-peer engine both call it (telemetry-enabled path only).
 
     Norms are taken on the sanitized matrix — what the filter actually
     scored — and ``kept_indices`` (CGE and friends) is re-derived the
@@ -284,13 +284,14 @@ def record_filter_round(
     if hasattr(gradient_filter, "kept_indices"):
         kept = gradient_filter.kept_indices(matrix)
         if agent_ids is not None:
-            kept = [agent_ids[r] for r in kept]
+            kept = np.asarray(agent_ids)[kept]
+        kept = kept[None]
     telemetry.record_round(
         round_index=round_index,
         filter_name=getattr(gradient_filter, "name", type(gradient_filter).__name__),
         step_size=step_size,
-        gradient_norms=np.linalg.norm(matrix, axis=1),
+        gradient_norms=np.linalg.norm(matrix, axis=1)[None],
         agent_ids=agent_ids,
         kept_ids=kept,
-        estimate=estimate,
+        estimate=estimate[None],
     )

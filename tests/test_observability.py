@@ -287,6 +287,43 @@ class TestTelemetryHandle:
         assert spans["total"] == pytest.approx(sum(durations))
 
 
+class TestClosedHandle:
+    def test_closed_handle_writes_nothing_more(self, instance, tmp_path):
+        # A shutdown flush may close a job's handle while its run goes on:
+        # the stream must still end with its summary.
+        path = str(tmp_path / "run.jsonl")
+        honest = [1, 2, 3, 4, 5]
+        tel = Telemetry(path, reference_point=instance.honest_minimizer(honest))
+
+        def close_at_round_9(t, server):
+            if t == 9:
+                tel.close()
+
+        kwargs = dict(gradient_filter="cge", faulty_ids=(0,), iterations=20, seed=1)
+        traced = run_dgd(instance.costs, GradientReverse(), telemetry=tel,
+                         round_hook=close_at_round_9, **kwargs)
+        untraced = run_dgd(instance.costs, GradientReverse(), **kwargs)
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        assert json.loads(lines[-1])["event"] == "summary"
+        assert tel.emitted == len(lines)
+        # Rounds 10-19 each lost a filter span, a round record and a round
+        # span, and the run lost its run span.
+        assert tel.dropped == 10 * 3 + 1
+        assert np.array_equal(traced.estimates, untraced.estimates)
+        assert np.array_equal(traced.directions, untraced.directions)
+
+    def test_emit_after_close_is_counted_not_written(self):
+        memory = MemorySink()
+        tel = Telemetry(memory)
+        tel.close()
+        tel.emit("late")
+        tel.record_round(round_index=0, filter_name="cge", step_size=0.1,
+                         gradient_norms=[[1.0, 2.0]], kept_ids=[[0]])
+        assert [r["event"] for r in memory.records] == ["summary"]
+        assert (tel.emitted, tel.dropped) == (1, 2)
+
+
 class TestRunnerTelemetry:
     def test_disabled_run_is_bit_identical(self, instance):
         kwargs = dict(

@@ -7,6 +7,7 @@ with SIGKILL mid-run, restarts it over the same state directory, and
 proves resumed jobs recompute only cells the cache never saw.
 """
 
+import gc
 import json
 import os
 import signal
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -171,6 +173,92 @@ class TestServiceEndToEnd:
         result = harness.client.result(second["job_id"])
         assert result["counts"]["cache_hits"] == result["counts"]["cells"]
         assert result["counts"]["cache_misses"] == 0
+
+
+def _descriptors_under(directory):
+    """How many of this process's open descriptors point under ``directory``."""
+    root = os.path.realpath(str(directory)) + os.sep
+    count = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", name))
+        except OSError:  # closed while listing
+            continue
+        count += target.startswith(root)
+    return count
+
+
+class TestServedRunJobs:
+    ITERATIONS = 30
+
+    @pytest.mark.parametrize("filter_name", ["cge", "clipping"])
+    def test_run_job_equals_run_dgd(self, harness, filter_name):
+        from repro.analysis.metrics import final_error
+        from repro.attacks.registry import make_attack
+        from repro.problems.linear_regression import make_redundant_regression
+        from repro.system.runner import run_dgd
+
+        T, seed = self.ITERATIONS, 9
+        record = harness.client.submit("run", {
+            "filter": filter_name, "attack": "gradient-reverse",
+            "iterations": T, "seed": seed,
+        })
+        final = harness.client.wait(record["job_id"], timeout=120)
+        assert final["state"] == "done", final.get("error")
+        result = harness.client.result(record["job_id"])
+
+        instance = make_redundant_regression(n=6, d=2, f=1, noise_std=0.02,
+                                             seed=seed)
+        trace = run_dgd(instance.costs, make_attack("gradient-reverse"),
+                        gradient_filter=filter_name, faulty_ids=(0,),
+                        iterations=T, seed=seed)
+        x_H = instance.honest_minimizer([1, 2, 3, 4, 5])
+        assert result["final_estimate"] == trace.final_estimate.tolist()
+        assert result["final_error"] == float(final_error(trace, x_H))
+
+        # A round record and a round span per round, then the run span,
+        # the job span and the summary. clipping is stateful, so the batch
+        # engine runs it through run_dgd: a filter span per round, and one
+        # run_start that carries the run and seed its records do not.
+        events = list(harness.client.events(record["job_id"]))
+        stateful = filter_name == "clipping"
+        assert len(events) == (3 * T + 4 if stateful else 2 * T + 3)
+        assert result["counts"]["telemetry_records"] == len(events)
+        assert events[-1]["event"] == "summary"
+        filter_spans = [e for e in events
+                        if e["event"] == "span" and e["name"] == "filter"]
+        assert len(filter_spans) == (T if stateful else 0)
+        starts = [e for e in events if e["event"] == "run_start"]
+        rounds = [e for e in events if e["event"] == "round"]
+        assert len(rounds) == T
+        if stateful:
+            assert [(e["run"], e["seed"]) for e in starts] == [(0, seed)]
+            assert not any("run" in r or "seed" in r for r in rounds)
+        else:
+            assert not starts
+            assert all(r["run"] == 0 and r["seed"] == seed for r in rounds)
+
+    def test_jobs_leave_no_descriptor_open(self, harness):
+        state_dir = harness.config.state_dir
+        before = _descriptors_under(state_dir)
+        # A stream left open is closed when its sink is collected, so also
+        # require that no file was collected open.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            jobs = [harness.client.submit("run", {"iterations": 20, "seed": s})
+                    for s in range(3)]
+            jobs += [harness.client.submit("sweep", dict(SWEEP_PARAMS,
+                                                         master_seed=s))
+                     for s in range(3)]
+            for job in jobs:
+                final = harness.client.wait(job["job_id"], timeout=240)
+                assert final["state"] == "done", final.get("error")
+            gc.collect()
+        assert _descriptors_under(state_dir) == before
+        unclosed = [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and str(state_dir) in str(w.message)]
+        assert not unclosed
 
 
 class TestAdmissionOverTheWire:

@@ -15,8 +15,11 @@ machinery, so these properties carry the whole design:
 
 import json
 import threading
+import time
+import warnings
 
 import numpy as np
+import pytest
 
 from repro.experiments.sweep import (
     RegressionGrid,
@@ -170,6 +173,24 @@ class TestSharedPool:
         # failing the map outright.
         assert engine.map(_square, [1, 2, 3]) == [1, 4, 9]
 
+    def test_fallback_warns_once_at_its_caller(self):
+        pool = SharedProcessPool(max_workers=1)
+        pool.close()
+        calls = (
+            lambda engine: engine.map(_square, [1, 2, 3]),
+            lambda engine: engine.run_regression_grid(GRID_A),
+        )
+        for call in calls:
+            engine = SweepEngine(parallel=True, pool=pool)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call(engine)
+                call(engine)
+            fallbacks = [w for w in caught
+                         if "process pool unavailable" in str(w.message)]
+            assert len(fallbacks) == 1
+            assert fallbacks[0].filename == __file__
+
 
 class TestJSONLSinkConcurrency:
     def test_concurrent_writers_never_tear_lines(self, tmp_path):
@@ -196,3 +217,43 @@ class TestJSONLSinkConcurrency:
         assert len(seen) == writers * per_writer  # none lost, none duplicated
         # the tolerant reader agrees
         assert len(load_jsonl(path)) == writers * per_writer
+
+    def test_close_racing_emit_leaves_only_whole_lines(self, tmp_path):
+        path = str(tmp_path / "stream.jsonl")
+        sink = JSONLSink(path)
+        writers = 4
+        written = [0] * writers
+        refused = [False] * writers
+        start = threading.Barrier(writers + 1)
+
+        def writer(wid):
+            def emit_until_closed():
+                start.wait()
+                for i in range(20000):
+                    try:
+                        sink.emit({"event": "tick", "writer": wid, "i": i,
+                                   "payload": "x" * 512})
+                    except ValueError:  # the sink is closed
+                        refused[wid] = True
+                        return
+                    written[wid] += 1
+            return emit_until_closed
+
+        def closer():
+            start.wait()
+            time.sleep(0.02)
+            sink.close()
+
+        _run_in_threads(*[writer(w) for w in range(writers)], closer)
+        sink.close()  # idempotent
+        assert all(refused)
+        with open(path) as handle:
+            lines = handle.readlines()
+        assert all(line.endswith("\n") for line in lines)
+        records = [json.loads(line) for line in lines]  # every line parses
+        assert len(records) == sum(written)
+        for wid in range(writers):
+            mine = [r["i"] for r in records if r["writer"] == wid]
+            assert mine == list(range(written[wid]))
+        with pytest.raises(ValueError):
+            sink.emit({"event": "late"})
