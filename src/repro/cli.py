@@ -50,6 +50,7 @@ on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -71,7 +72,12 @@ from repro.exceptions import (
     ReproError,
     TopologyInfeasibilityError,
 )
+from repro.experiments.common import regression_setup
+from repro.experiments.sweep import RegressionGrid
+from repro.experiments.tournament import TournamentConfig
 from repro.problems.linear_regression import make_redundant_regression
+from repro.service import ServiceConfig
+from repro.service.jobs import RUN_DEFAULTS, grid_from_params
 from repro.system.runner import run_dgd
 from repro.system.topology import available_topologies
 from repro import experiments as experiment_module
@@ -102,6 +108,91 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
+def _field_defaults(cls) -> Dict:
+    """A dataclass's field defaults, by field name."""
+    return {
+        spec.name: spec.default
+        for spec in dataclasses.fields(cls)
+        if spec.default is not dataclasses.MISSING
+    }
+
+
+def _flag_values(cls, args, **overrides) -> Dict:
+    """The parsed flags named after ``cls``'s fields, then ``overrides``."""
+    values = {
+        spec.name: getattr(args, spec.name)
+        for spec in dataclasses.fields(cls)
+        if hasattr(args, spec.name)
+    }
+    values.update(overrides)
+    return values
+
+
+def _run_flags() -> argparse.ArgumentParser:
+    """The run-job flags of ``run``, ``profile`` and ``submit run``: one per
+    :data:`RUN_DEFAULTS` key, named after it and defaulting to it."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--n", type=int, default=RUN_DEFAULTS["n"],
+                       help="number of agents")
+    flags.add_argument("--d", type=int, default=RUN_DEFAULTS["d"],
+                       help="problem dimension")
+    flags.add_argument("--f", type=int, default=RUN_DEFAULTS["f"],
+                       help="fault bound")
+    flags.add_argument("--noise", type=float, dest="noise_std",
+                       default=RUN_DEFAULTS["noise_std"],
+                       help="observation noise std")
+    flags.add_argument("--filter", default=RUN_DEFAULTS["filter"],
+                       choices=available_filters())
+    flags.add_argument("--attack", default=RUN_DEFAULTS["attack"],
+                       choices=buildable_attacks())
+    flags.add_argument("--iterations", type=int,
+                       default=RUN_DEFAULTS["iterations"])
+    flags.add_argument("--seed", type=int, default=RUN_DEFAULTS["seed"])
+    return flags
+
+
+def _grid_flags() -> argparse.ArgumentParser:
+    """The grid flags of ``sweep`` and ``submit sweep``, each named after
+    the :class:`RegressionGrid` field it sets and defaulting to it."""
+    grid = _field_defaults(RegressionGrid)
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--filters", nargs="+", default=list(grid["filters"]),
+                       choices=available_filters())
+    flags.add_argument("--attacks", nargs="+", default=list(grid["attacks"]),
+                       choices=buildable_attacks())
+    flags.add_argument("--fault-counts", type=int, nargs="+",
+                       default=list(grid["fault_counts"]))
+    flags.add_argument("--num-seeds", type=int, default=grid["num_seeds"])
+    flags.add_argument("--master-seed", type=int, default=grid["master_seed"])
+    flags.add_argument("--n", type=int, default=grid["n"])
+    flags.add_argument("--d", type=int, default=grid["d"])
+    flags.add_argument("--noise", type=float, dest="noise_std",
+                       default=grid["noise_std"])
+    flags.add_argument("--iterations", type=int, default=grid["iterations"])
+    return flags
+
+
+def _engine_flags() -> argparse.ArgumentParser:
+    """The :class:`~repro.experiments.sweep.SweepEngine` flags of ``sweep``
+    and ``tournament run``."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--sequential", action="store_true",
+                       help="disable the process pool (single-process execution)")
+    flags.add_argument("--workers", type=int, default=None, help="pool size")
+    flags.add_argument("--cache-dir", default=None,
+                       help="directory for the on-disk result cache (off by "
+                       "default; required for --resume)")
+    flags.add_argument("--events", default=None, metavar="PATH",
+                       help="write a JSONL event log (cache hits/misses, "
+                       "retries, quarantines, per-chunk wall time) and print "
+                       "its summary")
+    flags.add_argument("--resume", action="store_true",
+                       help="resume an interrupted run from its cache: "
+                       "results with a valid cache entry are served as cache "
+                       "hits, the rest is recomputed (requires --cache-dir)")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -110,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    run_flags, grid_flags, engine_flags = _run_flags(), _grid_flags(), _engine_flags()
 
     experiment = commands.add_parser(
         "experiment", help="run a reconstructed table/figure experiment"
@@ -118,20 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--json", metavar="PATH", help="save the structured result")
     experiment.add_argument("--csv", metavar="PATH", help="save the table rows as CSV")
 
-    run = commands.add_parser("run", help="one filtered-DGD execution")
-    run.add_argument("--n", type=int, default=6, help="number of agents")
-    run.add_argument("--d", type=int, default=2, help="problem dimension")
-    run.add_argument("--f", type=int, default=1, help="fault bound")
-    run.add_argument("--noise", type=float, default=0.02, help="observation noise std")
-    run.add_argument(
-        "--filter", default="cge", choices=available_filters(), dest="filter_name"
-    )
-    run.add_argument(
-        "--attack", default="gradient-reverse",
-        choices=buildable_attacks(),
-    )
-    run.add_argument("--iterations", type=int, default=500)
-    run.add_argument("--seed", type=int, default=0)
+    run = commands.add_parser("run", parents=[run_flags],
+                              help="one filtered-DGD execution")
     run.add_argument(
         "--telemetry", metavar="PATH", default=None,
         help="stream per-round telemetry records (JSONL) to PATH",
@@ -231,23 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     profile = commands.add_parser(
-        "profile",
+        "profile", parents=[run_flags],
         help="run one scenario with telemetry and print the profiling roll-up",
     )
-    profile.add_argument("--n", type=int, default=6, help="number of agents")
-    profile.add_argument("--d", type=int, default=2, help="problem dimension")
-    profile.add_argument("--f", type=int, default=1, help="fault bound")
-    profile.add_argument("--noise", type=float, default=0.02,
-                         help="observation noise std")
-    profile.add_argument(
-        "--filter", default="cge", choices=available_filters(), dest="filter_name"
-    )
-    profile.add_argument(
-        "--attack", default="gradient-reverse",
-        choices=buildable_attacks(),
-    )
-    profile.add_argument("--iterations", type=int, default=500)
-    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--runs", type=int, default=1,
         help="replicate runs of the vectorized batch engine; one run uses "
@@ -274,32 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     redundancy.add_argument("--seed", type=int, default=0)
 
     sweep = commands.add_parser(
-        "sweep", help="run a (filter x attack x f x seed) grid via the sweep engine"
-    )
-    sweep.add_argument(
-        "--filters", nargs="+", default=["cge", "cwtm", "median", "average"],
-        choices=available_filters(),
-    )
-    sweep.add_argument(
-        "--attacks", nargs="+",
-        default=["gradient-reverse", "random", "sign-flip", "zero"],
-        choices=buildable_attacks(),
-    )
-    sweep.add_argument("--fault-counts", type=int, nargs="+", default=[1])
-    sweep.add_argument("--num-seeds", type=int, default=10)
-    sweep.add_argument("--master-seed", type=int, default=20200803)
-    sweep.add_argument("--n", type=int, default=6)
-    sweep.add_argument("--d", type=int, default=2)
-    sweep.add_argument("--noise", type=float, default=0.0)
-    sweep.add_argument("--iterations", type=int, default=300)
-    sweep.add_argument(
-        "--sequential", action="store_true",
-        help="disable the process pool (single-process execution)",
-    )
-    sweep.add_argument("--workers", type=int, default=None, help="pool size")
-    sweep.add_argument(
-        "--cache-dir", default=None,
-        help="directory for the on-disk trace cache (off by default)",
+        "sweep", parents=[grid_flags, engine_flags],
+        help="run a (filter x attack x f x seed) grid via the sweep engine",
     )
     sweep.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -309,16 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--retries", type=int, default=2, metavar="N",
         help="failed attempts allowed per chunk before quarantine (default 2)",
-    )
-    sweep.add_argument(
-        "--events", default=None, metavar="PATH",
-        help="write a JSONL event log (retries, cache hits/misses, "
-        "quarantines, per-chunk wall time) and print its summary",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted grid from its cache: recompute only "
-        "cells without a valid cache entry (requires --cache-dir)",
     )
     sweep.add_argument(
         "--telemetry", default=None, metavar="DIR",
@@ -388,12 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     tournament_commands = tournament.add_subparsers(
         dest="tournament_command", required=True
     )
+    defaults = _field_defaults(TournamentConfig)
     tournament_run = tournament_commands.add_parser(
-        "run",
+        "run", parents=[engine_flags],
         help="run the cross-product through the cached sweep layer and "
         "write TOURNAMENT_<name>.json",
     )
-    tournament_run.add_argument("--name", default="tournament",
+    tournament_run.add_argument("--name", default=defaults["name"],
                                 help="artifact name (TOURNAMENT_<name>.json)")
     tournament_run.add_argument(
         "--filters", nargs="+", default=None, choices=available_filters(),
@@ -404,43 +437,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of the default attack bank by bank name "
         "(default: the whole bank)",
     )
-    tournament_run.add_argument("--rounds", type=int, default=2,
+    tournament_run.add_argument("--rounds", type=int,
+                                default=defaults["rounds"],
                                 help="tournament rounds (best-response "
                                 "re-tuning happens between rounds)")
-    tournament_run.add_argument("--num-seeds", type=int, default=5)
-    tournament_run.add_argument("--master-seed", type=int, default=20200803)
-    tournament_run.add_argument("--n", type=int, default=8)
-    tournament_run.add_argument("--d", type=int, default=2)
-    tournament_run.add_argument("--f", type=int, default=1)
-    tournament_run.add_argument("--noise", type=float, default=0.02)
-    tournament_run.add_argument("--iterations", type=int, default=300)
-    tournament_run.add_argument("--win-threshold", type=float, default=0.1,
+    tournament_run.add_argument("--num-seeds", type=int,
+                                default=defaults["num_seeds"])
+    tournament_run.add_argument("--master-seed", type=int,
+                                default=defaults["master_seed"])
+    tournament_run.add_argument("--n", type=int, default=defaults["n"])
+    tournament_run.add_argument("--d", type=int, default=defaults["d"])
+    tournament_run.add_argument("--f", type=int, default=defaults["f"])
+    tournament_run.add_argument("--noise", type=float, dest="noise_std",
+                                default=defaults["noise_std"])
+    tournament_run.add_argument("--iterations", type=int,
+                                default=defaults["iterations"])
+    tournament_run.add_argument("--win-threshold", type=float,
+                                default=defaults["win_threshold"],
                                 help="final distance to x_H at or below "
                                 "which the filter wins")
-    tournament_run.add_argument("--loss-threshold", type=float, default=0.4,
+    tournament_run.add_argument("--loss-threshold", type=float,
+                                default=defaults["loss_threshold"],
                                 help="final distance at or above which the "
                                 "attack wins")
-    tournament_run.add_argument(
-        "--sequential", action="store_true",
-        help="disable the process pool (single-process execution)",
-    )
-    tournament_run.add_argument("--workers", type=int, default=None,
-                                help="pool size")
-    tournament_run.add_argument(
-        "--cache-dir", default=None,
-        help="directory for the per-match cache (off by default; required "
-        "for --resume)",
-    )
-    tournament_run.add_argument(
-        "--events", default=None, metavar="PATH",
-        help="write a JSONL event log (cache hits/misses, retunes, "
-        "quarantines) and print its summary",
-    )
-    tournament_run.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted tournament from its match cache: "
-        "finished matches are served as cache hits (requires --cache-dir)",
-    )
     tournament_run.add_argument("--out-dir", default=".",
                                 help="where the artifact lands (default .)")
 
@@ -498,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="a telemetry JSONL file, or a directory "
                              "of them")
 
+    defaults = _field_defaults(ServiceConfig)
     serve = commands.add_parser(
         "serve",
         help="long-lived aggregation service: accept run/sweep/bench jobs "
@@ -506,29 +526,36 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--state-dir", required=True, metavar="DIR",
                        help="durable root: job manifests, event streams, "
                        "results, and the shared cell cache live here")
-    serve.add_argument("--socket", default=None, metavar="PATH",
+    serve.add_argument("--socket", dest="socket_path",
+                       default=defaults["socket_path"], metavar="PATH",
                        help="unix socket to listen on "
                        "(default: <state-dir>/repro.sock)")
-    serve.add_argument("--host", default=None,
+    serve.add_argument("--host", default=defaults["host"],
                        help="TCP host to bind (needs --port)")
-    serve.add_argument("--port", type=int, default=None,
+    serve.add_argument("--port", type=int, default=defaults["port"],
                        help="TCP port to bind (needs --host)")
-    serve.add_argument("--job-slots", type=int, default=2, metavar="N",
-                       help="jobs executed concurrently (default 2)")
-    serve.add_argument("--pool-workers", type=int, default=None, metavar="N",
+    serve.add_argument("--job-slots", type=int, default=defaults["job_slots"],
+                       metavar="N",
+                       help="jobs executed concurrently (default %(default)s)")
+    serve.add_argument("--pool-workers", type=int,
+                       default=defaults["pool_workers"], metavar="N",
                        help="worker processes in the shared pool")
-    serve.add_argument("--max-queue", type=int, default=64, metavar="N",
-                       help="admission bound on queued jobs (default 64)")
-    serve.add_argument("--per-client", type=int, default=8, metavar="N",
+    serve.add_argument("--max-queue", type=int, default=defaults["max_queue"],
+                       metavar="N",
+                       help="admission bound on queued jobs "
+                       "(default %(default)s)")
+    serve.add_argument("--per-client", type=int,
+                       default=defaults["per_client"], metavar="N",
                        help="jobs one client may have queued or running "
-                       "(default 8)")
+                       "(default %(default)s)")
     serve.add_argument("--sequential", action="store_true",
                        help="run jobs without a process pool")
-    serve.add_argument("--timeout", type=float, default=None,
+    serve.add_argument("--timeout", type=float, default=defaults["timeout"],
                        metavar="SECONDS", help="per-chunk wall-clock budget")
-    serve.add_argument("--retries", type=int, default=2, metavar="N",
+    serve.add_argument("--retries", type=int, default=defaults["retries"],
+                       metavar="N",
                        help="failed attempts per chunk before quarantine")
-    serve.add_argument("--job-ttl", type=float, default=None,
+    serve.add_argument("--job-ttl", type=float, default=defaults["job_ttl"],
                        metavar="SECONDS",
                        help="GC terminal jobs (manifest, events, result) "
                        "older than this; queued/running jobs are never "
@@ -552,40 +579,16 @@ def build_parser() -> argparse.ArgumentParser:
                                             required=True)
 
     submit_sweep = submit_commands.add_parser(
-        "sweep", help="a (filter x attack x f x seed) grid job"
+        "sweep", parents=[grid_flags],
+        help="a (filter x attack x f x seed) grid job",
     )
-    submit_sweep.add_argument("--filters", nargs="+",
-                              default=["cge", "cwtm", "median", "average"],
-                              choices=available_filters())
-    submit_sweep.add_argument("--attacks", nargs="+",
-                              default=["gradient-reverse", "random",
-                                       "sign-flip", "zero"],
-                              choices=buildable_attacks())
-    submit_sweep.add_argument("--fault-counts", type=int, nargs="+",
-                              default=[1])
-    submit_sweep.add_argument("--num-seeds", type=int, default=10)
-    submit_sweep.add_argument("--master-seed", type=int, default=20200803)
-    submit_sweep.add_argument("--n", type=int, default=6)
-    submit_sweep.add_argument("--d", type=int, default=2)
-    submit_sweep.add_argument("--noise", type=float, default=0.0)
-    submit_sweep.add_argument("--iterations", type=int, default=300)
     submit_sweep.add_argument("--telemetry", action="store_true",
                               help="keep per-round telemetry streams under "
                               "the job directory")
 
-    submit_run = submit_commands.add_parser(
-        "run", help="one filtered-DGD execution job"
+    submit_commands.add_parser(
+        "run", parents=[run_flags], help="one filtered-DGD execution job"
     )
-    submit_run.add_argument("--n", type=int, default=6)
-    submit_run.add_argument("--d", type=int, default=2)
-    submit_run.add_argument("--f", type=int, default=1)
-    submit_run.add_argument("--noise", type=float, default=0.02)
-    submit_run.add_argument("--filter", default="cge",
-                            choices=available_filters(), dest="filter_name")
-    submit_run.add_argument("--attack", default="gradient-reverse",
-                            choices=buildable_attacks())
-    submit_run.add_argument("--iterations", type=int, default=500)
-    submit_run.add_argument("--seed", type=int, default=0)
 
     submit_bench = submit_commands.add_parser(
         "bench", help="a registered benchmark job"
@@ -816,12 +819,9 @@ def _command_run_decentralized(args) -> int:
 def _command_run(args) -> int:
     if args.architecture == "decentralized":
         return _command_run_decentralized(args)
-    instance = make_redundant_regression(
-        n=args.n, d=args.d, f=args.f, noise_std=args.noise, seed=args.seed
+    instance, faulty, x_H = regression_setup(
+        args.n, args.d, args.f, args.noise_std, args.seed
     )
-    faulty = tuple(range(args.f))
-    honest = [i for i in range(args.n) if i not in faulty]
-    x_H = instance.honest_minimizer(honest)
     behavior = make_attack(args.attack) if faulty else None
     fault_model = _build_fault_model(args, args.n)
     if args.checkpoint_every <= 0:
@@ -838,7 +838,7 @@ def _command_run(args) -> int:
     trace = run_dgd(
         instance.costs,
         behavior,
-        gradient_filter=args.filter_name,
+        gradient_filter=args.filter,
         faulty_ids=faulty,
         iterations=args.iterations,
         seed=args.seed,
@@ -849,7 +849,7 @@ def _command_run(args) -> int:
     )
     margin = measure_redundancy_margin(instance.costs, args.f).margin
     rows = [
-        ["filter", args.filter_name],
+        ["filter", args.filter],
         ["attack", args.attack if faulty else "(none)"],
         ["honest minimizer x_H", np.round(x_H, 4)],
         ["output x_out", np.round(trace.final_estimate, 4)],
@@ -936,12 +936,9 @@ def _command_profile(args) -> int:
 
     if args.runs <= 0:
         raise InvalidParameterError("--runs must be positive")
-    instance = make_redundant_regression(
-        n=args.n, d=args.d, f=args.f, noise_std=args.noise, seed=args.seed
+    instance, faulty, x_H = regression_setup(
+        args.n, args.d, args.f, args.noise_std, args.seed
     )
-    faulty = tuple(range(args.f))
-    honest = [i for i in range(args.n) if i not in faulty]
-    x_H = instance.honest_minimizer(honest)
     behavior = make_attack(args.attack) if faulty else None
     sinks = [MemorySink()]
     if args.telemetry:
@@ -956,7 +953,7 @@ def _command_profile(args) -> int:
         instance.costs,
         behavior,
         seeds=seeds,
-        gradient_filter=args.filter_name,
+        gradient_filter=args.filter,
         faulty_ids=faulty,
         iterations=args.iterations,
         telemetry=telemetry,
@@ -965,7 +962,7 @@ def _command_profile(args) -> int:
     telemetry.close()
     print(_render_telemetry_summary(
         summary,
-        title=(f"profile: run_dgd_batch x{args.runs}, filter={args.filter_name}, "
+        title=(f"profile: run_dgd_batch x{args.runs}, filter={args.filter}, "
                f"attack={args.attack if faulty else '(none)'}, "
                f"n={args.n}, f={args.f}, d={args.d}, T={args.iterations}"),
     ))
@@ -992,31 +989,37 @@ def _command_redundancy(args) -> int:
     return 0
 
 
-def _command_sweep(args) -> int:
-    from repro.experiments.sweep import RegressionGrid, SweepEngine, summarize_grid
+def _sweep_engine(args, **options):
+    """The :class:`~repro.experiments.sweep.SweepEngine` the engine flags
+    describe, with ``options`` passed on."""
+    from repro.experiments.sweep import SweepEngine
 
     if args.resume and args.cache_dir is None:
         raise InvalidParameterError(
             "--resume requires --cache-dir (nothing to resume from)"
         )
-    grid = RegressionGrid(
-        filters=tuple(args.filters),
-        attacks=tuple(args.attacks),
-        fault_counts=tuple(args.fault_counts),
-        num_seeds=args.num_seeds,
-        master_seed=args.master_seed,
-        n=args.n,
-        d=args.d,
-        noise_std=args.noise,
-        iterations=args.iterations,
-    )
-    engine = SweepEngine(
+    return SweepEngine(
         parallel=not args.sequential,
         max_workers=args.workers,
         cache_dir=args.cache_dir,
-        timeout=args.timeout,
-        retries=args.retries,
         events=args.events,
+        **options,
+    )
+
+
+def _print_event_counts(args, engine) -> None:
+    if args.events:
+        counts = engine.events.counts()
+        rendered = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
+        print(f"events -> {args.events}: {rendered}")
+
+
+def _command_sweep(args) -> int:
+    from repro.experiments.sweep import summarize_grid
+
+    grid = grid_from_params(_flag_values(RegressionGrid, args))
+    engine = _sweep_engine(
+        args, timeout=args.timeout, retries=args.retries,
         telemetry_dir=args.telemetry,
     )
     cells = engine.resume(grid) if args.resume else engine.run_regression_grid(grid)
@@ -1028,10 +1031,7 @@ def _command_sweep(args) -> int:
     if failed:
         line += f", {failed} failed ({quarantined} quarantined)"
     print(line)
-    if args.events:
-        counts = engine.events.counts()
-        rendered = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
-        print(f"events -> {args.events}: {rendered}")
+    _print_event_counts(args, engine)
     if args.telemetry:
         print(f"telemetry -> {args.telemetry}/")
     return 1 if failed else 0
@@ -1217,9 +1217,7 @@ def _load_artifact_or_none(path: str):
 
 
 def _command_tournament(args) -> int:
-    from repro.experiments.sweep import SweepEngine
     from repro.experiments.tournament import (
-        TournamentConfig,
         default_attack_bank,
         run_tournament,
         write_tournament_artifact,
@@ -1266,10 +1264,6 @@ def _command_tournament(args) -> int:
         return 0
 
     # run
-    if args.resume and args.cache_dir is None:
-        raise InvalidParameterError(
-            "--resume requires --cache-dir (nothing to resume from)"
-        )
     bank = default_attack_bank()
     if args.attacks is not None:
         by_name = {spec.name: spec for spec in bank}
@@ -1280,27 +1274,10 @@ def _command_tournament(args) -> int:
                 f"available: {', '.join(sorted(by_name))}"
             )
         bank = tuple(by_name[name] for name in args.attacks)
-    config = TournamentConfig(
-        name=args.name,
-        filters=tuple(args.filters) if args.filters else (),
-        attacks=bank,
-        rounds=args.rounds,
-        num_seeds=args.num_seeds,
-        master_seed=args.master_seed,
-        n=args.n,
-        d=args.d,
-        f=args.f,
-        noise_std=args.noise,
-        iterations=args.iterations,
-        win_threshold=args.win_threshold,
-        loss_threshold=args.loss_threshold,
-    )
-    engine = SweepEngine(
-        parallel=not args.sequential,
-        max_workers=args.workers,
-        cache_dir=args.cache_dir,
-        events=args.events,
-    )
+    config = TournamentConfig(**_flag_values(
+        TournamentConfig, args, filters=tuple(args.filters or ()), attacks=bank,
+    ))
+    engine = _sweep_engine(args)
     if args.resume:
         engine.events.emit("resume", kind="tournament", name=args.name)
     payload = run_tournament(config, engine)
@@ -1311,10 +1288,7 @@ def _command_tournament(args) -> int:
         f"{payload['counts']['matches']} matches "
         f"({execution['cache_hits']} from cache) -> {path}"
     )
-    if args.events:
-        counts = engine.events.counts()
-        rendered = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
-        print(f"events -> {args.events}: {rendered}")
+    _print_event_counts(args, engine)
     failed = payload["counts"]["failed"]
     if failed:
         print(f"{failed} match(es) failed", file=sys.stderr)
@@ -1391,21 +1365,10 @@ def _command_serve(args) -> int:
     """Run the long-lived aggregation service until interrupted."""
     import asyncio
 
-    from repro.service import ReproService, ServiceConfig
+    from repro.service import ReproService
 
     config = ServiceConfig(
-        state_dir=args.state_dir,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        job_slots=args.job_slots,
-        pool_workers=args.pool_workers,
-        max_queue=args.max_queue,
-        per_client=args.per_client,
-        parallel=not args.sequential,
-        timeout=args.timeout,
-        retries=args.retries,
-        job_ttl=args.job_ttl,
+        **_flag_values(ServiceConfig, args, parallel=not args.sequential)
     )
     service = ReproService(config)
     target = config.socket_path or f"{config.host}:{config.port}"
@@ -1424,29 +1387,11 @@ def _command_submit(args) -> int:
 
     client = ServiceClient(socket_path=args.socket, host=args.host, port=args.port)
     if args.submit_command == "sweep":
-        kind, params = "sweep", {
-            "filters": args.filters,
-            "attacks": args.attacks,
-            "fault_counts": args.fault_counts,
-            "num_seeds": args.num_seeds,
-            "master_seed": args.master_seed,
-            "n": args.n,
-            "d": args.d,
-            "noise_std": args.noise,
-            "iterations": args.iterations,
-            "telemetry": args.telemetry,
-        }
+        kind = "sweep"
+        params = _flag_values(RegressionGrid, args, telemetry=args.telemetry)
+        grid_from_params(params)  # refuse a bad grid before connecting
     elif args.submit_command == "run":
-        kind, params = "run", {
-            "n": args.n,
-            "d": args.d,
-            "f": args.f,
-            "noise_std": args.noise,
-            "filter": args.filter_name,
-            "attack": args.attack,
-            "iterations": args.iterations,
-            "seed": args.seed,
-        }
+        kind, params = "run", {key: getattr(args, key) for key in RUN_DEFAULTS}
     else:
         kind, params = "bench", {"name": args.name, "repeats": args.repeats}
     try:

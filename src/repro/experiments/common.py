@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attacks.registry import make_attack
-from repro.problems.linear_regression import RegressionInstance, paper_instance
+from repro.exceptions import InfeasibleConfigurationError, InvalidParameterError
+from repro.problems.linear_regression import (
+    RegressionInstance,
+    check_regression_parameters,
+    make_redundant_regression,
+    paper_instance,
+)
 from repro.system.batch import run_dgd_batch
 from repro.system.runner import Trace
 from repro.utils.rng import SeedLike
@@ -22,6 +28,42 @@ REGRESSION_ATTACKS = ("gradient-reverse", "random", "sign-flip", "zero")
 def paper_setup(noise_std: float = 0.02, seed: SeedLike = 20200803) -> RegressionInstance:
     """The shared n=6, f=1, d=2 regression instance of E1-E3/E10."""
     return paper_instance(noise_std=noise_std, seed=seed)
+
+
+def check_regression_setup(n: int, d: int, f: int, noise_std: float) -> None:
+    """Reject a set-up whose instance cannot be built.
+
+    Runs the generator's own parameter checks (comparisons only; nothing is
+    built) and raises every failure as
+    :class:`~repro.exceptions.InvalidParameterError`, so a job spec or grid
+    that names such an instance is refused at the boundary.
+    """
+    try:
+        check_regression_parameters(n, d, f, noise_std)
+    except InfeasibleConfigurationError as exc:
+        raise InvalidParameterError(str(exc)) from exc
+
+
+def regression_setup(
+    n: int,
+    d: int,
+    f: int,
+    noise_std: float,
+    seed: SeedLike,
+    redundancy_f: Optional[int] = None,
+) -> Tuple[RegressionInstance, Tuple[int, ...], np.ndarray]:
+    """The attacked regression run every job sets up.
+
+    Returns the :func:`make_redundant_regression` instance, the faulty ids
+    ``0..f-1`` and the honest minimizer ``x_H`` of the other agents. The
+    instance is built for ``redundancy_f`` faults (default ``f``): a sweep
+    builds one instance for all of its fault counts.
+    """
+    instance = make_redundant_regression(
+        n=n, d=d, f=f if redundancy_f is None else redundancy_f,
+        noise_std=noise_std, seed=seed,
+    )
+    return instance, tuple(range(f)), instance.honest_minimizer(range(f, n))
 
 
 def run_attacked(

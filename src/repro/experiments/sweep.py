@@ -66,6 +66,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import pickle
 import random
@@ -91,6 +92,7 @@ from repro.observability.exporters import (
 )
 from repro.utils.atomicio import read_json_checked, write_json_atomic
 from repro.utils.rng import derive_seed, spawn_rngs
+from repro.utils.validation import require_int, require_names, require_number
 
 __all__ = [
     "SweepEngine",
@@ -203,6 +205,13 @@ class RegressionGrid:
     problem; the grid axes multiply out to
     ``len(filters) · len(attacks) · len(fault_counts) · num_seeds`` cells.
     Per-run seeds derive from ``master_seed`` via :func:`derive_run_seeds`.
+
+    The grid checks its own fields when it is built: registered filter and
+    buildable attack names, non-negative fault counts, at least one seed,
+    agent, dimension and round, and an instance that can exist (``2f < n``
+    and ``n − 2f >= d`` at :meth:`resolved_redundancy_f`). A grid whose
+    cells cannot run, such as Bulyan at ``n = 6``, still builds; its cells
+    fail one by one.
     """
 
     filters: Tuple[str, ...] = ("cge", "cwtm", "median", "average")
@@ -217,6 +226,44 @@ class RegressionGrid:
     instance_seed: int = 20200803
     iterations: int = 300
     x0: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self):
+        from repro.aggregators.registry import available_filters
+        from repro.attacks.registry import buildable_attacks
+        from repro.experiments.common import check_regression_setup
+
+        require_names("filters", self.filters, available_filters(), "filter")
+        require_names("attacks", self.attacks, buildable_attacks(), "attack")
+        counts = self.fault_counts
+        if not isinstance(counts, (list, tuple)) or not counts or any(
+            isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts
+        ):
+            raise InvalidParameterError(
+                "job parameter 'fault_counts' must be a non-empty list of "
+                "non-negative integers"
+            )
+        for name, minimum in (("num_seeds", 1), ("n", 1), ("d", 1),
+                              ("iterations", 1), ("master_seed", None),
+                              ("instance_seed", None)):
+            require_int(name, getattr(self, name), minimum)
+        if self.redundancy_f is not None:
+            require_int("redundancy_f", self.redundancy_f, 1)
+        require_number("noise_std", self.noise_std)
+        x0 = self.x0
+        if x0 is not None and (not isinstance(x0, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float))
+            or not math.isfinite(v) for v in x0
+        )):
+            raise InvalidParameterError(
+                "job parameter 'x0' must be a list of finite numbers"
+            )
+        check_regression_setup(
+            self.n, self.d, self.resolved_redundancy_f(), self.noise_std
+        )
+        if x0 is not None and len(x0) != self.d:
+            raise InvalidParameterError(
+                f"job parameter 'x0' must hold d={self.d} numbers, got {len(x0)}"
+            )
 
     def resolved_redundancy_f(self) -> int:
         """The instance's redundancy degree (defaults to the largest f swept)."""
@@ -316,8 +363,8 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     one JSON-safe payload per seed, in the task's seed order.
     """
     from repro.attacks.registry import make_attack
+    from repro.experiments.common import regression_setup
     from repro.observability import Telemetry, TraceContext
-    from repro.problems.linear_regression import make_redundant_regression
     from repro.system.batch import run_dgd_batch
     from repro.system.runner import DGDConfig
 
@@ -327,16 +374,10 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     telemetry_dir = task.get("telemetry_dir")
     trace_payload = task.get("trace")
 
-    instance = make_redundant_regression(
-        n=grid_fields["n"],
-        d=grid_fields["d"],
-        f=grid_fields["redundancy_f"],
-        noise_std=grid_fields["noise_std"],
-        seed=grid_fields["instance_seed"],
+    instance, faulty_ids, x_H = regression_setup(
+        grid_fields["n"], grid_fields["d"], f, grid_fields["noise_std"],
+        grid_fields["instance_seed"], redundancy_f=grid_fields["redundancy_f"],
     )
-    faulty_ids = tuple(range(f))
-    honest = [i for i in range(grid_fields["n"]) if i not in faulty_ids]
-    x_H = instance.honest_minimizer(honest)
     behavior = make_attack(attack_name) if f > 0 else None
     config = DGDConfig(
         iterations=grid_fields["iterations"],
@@ -422,6 +463,19 @@ class _PoolUnavailable(ReproError):
     """
 
 
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down without waiting on hung or dead workers."""
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # pragma: no cover - shutdown is best-effort
+        pass
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.kill()
+        except Exception:  # pragma: no cover - already dead
+            pass
+
+
 class SharedProcessPool:
     """One process pool multiplexed across many :class:`SweepEngine` owners.
 
@@ -441,6 +495,10 @@ class SharedProcessPool:
     (amortizing process start-up across the service's lifetime). After
     :meth:`close`, engines fall back to in-process execution — the same
     degradation path they take when a pool cannot be created at all.
+
+    It is also the only place executors are built: an engine without a
+    shared handle runs each pooled ``map`` on a private one, closed when
+    the map ends.
     """
 
     def __init__(self, max_workers: Optional[int] = None):
@@ -511,7 +569,7 @@ class SharedProcessPool:
         the pool. Caller must hold the lock.
         """
         if self._pool is not None:
-            SweepEngine._kill_pool(self._pool)
+            _kill_pool(self._pool)
             self._pool = None
             self._rebuilds += 1
 
@@ -520,7 +578,7 @@ class SharedProcessPool:
         with self._lock:
             self._closed = True
             if self._pool is not None:
-                SweepEngine._kill_pool(self._pool)
+                _kill_pool(self._pool)
                 self._pool = None
 
     def __enter__(self) -> "SharedProcessPool":
@@ -738,25 +796,6 @@ class SweepEngine:
         jitter = 0.5 + self._retry_rng.random()
         time.sleep(self._retry_backoff * (2 ** max(0, attempt - 1)) * jitter)
 
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        try:
-            return ProcessPoolExecutor(max_workers=workers)
-        except (OSError, RuntimeError) as exc:
-            raise _PoolUnavailable(f"{type(exc).__name__}: {exc}") from exc
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung or dead workers."""
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - shutdown is best-effort
-            pass
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.kill()
-            except Exception:  # pragma: no cover - already dead
-                pass
-
     def _run_items_inprocess(
         self,
         worker: Callable,
@@ -809,26 +848,6 @@ class SweepEngine:
             out.append(on_item_error(exc, item))
         return out
 
-    def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
-        """A live executor: the shared handle's (lazily built) or a private one."""
-        if self._shared_pool is not None:
-            return self._shared_pool.get(workers)
-        return self._new_pool(workers)
-
-    def _rebuild_pool(self, pool: ProcessPoolExecutor,
-                      workers: int) -> ProcessPoolExecutor:
-        """Replace a poisoned executor after a hang or worker crash."""
-        if self._shared_pool is not None:
-            self._shared_pool.invalidate()
-            return self._shared_pool.get(workers)
-        self._kill_pool(pool)
-        return self._new_pool(workers)
-
-    def _release_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
-        """Private pools die with their map; shared workers live on."""
-        if self._shared_pool is None and pool is not None:
-            self._kill_pool(pool)
-
     def _map_pooled(
         self,
         worker: Callable,
@@ -848,15 +867,17 @@ class SweepEngine:
         demonstrably failed pay one, so an innocent chunk queued behind a
         hang is never quarantined for it. Every round charges at least one
         attempt to some chunk, so the loop terminates.
+
+        An engine without a shared pool runs the map on a private
+        :class:`SharedProcessPool`, closed when the map ends.
         """
         results: Dict[int, List] = {}
         attempts = [0] * len(chunks)
         pending = list(range(len(chunks)))
-        if self._shared_pool is not None:
-            self._shared_pool.acquire()
-        pool = None
+        handle = self._shared_pool or SharedProcessPool()
+        handle.acquire()
         try:
-            pool = self._acquire_pool(workers)
+            pool = handle.get(workers)
             while pending:
                 futures: Dict[int, object] = {}
                 submitted_at: Dict[int, float] = {}
@@ -981,14 +1002,15 @@ class SweepEngine:
                             next_round.append(index)
                 if rebuild and next_round:
                     self._events.emit("pool_rebuild", pending=len(next_round))
-                    pool = self._rebuild_pool(pool, workers)
+                    handle.invalidate()
+                    pool = handle.get(workers)
                 if next_round:
                     self._backoff(max(attempts[i] for i in next_round))
                 pending = sorted(next_round)
         finally:
-            self._release_pool(pool)
-            if self._shared_pool is not None:
-                self._shared_pool.release()
+            if handle is not self._shared_pool:
+                handle.close()
+            handle.release()
         return [item for index in range(len(chunks)) for item in results[index]]
 
     # ------------------------------------------------------------------

@@ -342,8 +342,8 @@ def _run_match_group(task: Dict) -> List[Dict]:
     telemetry. Returns one JSON-safe payload per seed, in order.
     """
     from repro.attacks.best_response import PhiMinimizingAttack
+    from repro.experiments.common import regression_setup
     from repro.observability import Telemetry
-    from repro.problems.linear_regression import make_redundant_regression
     from repro.system.runner import DGDConfig, run_dgd
 
     instance_fields = task["instance_fields"]
@@ -353,16 +353,10 @@ def _run_match_group(task: Dict) -> List[Dict]:
     seeds = task["seeds"]
     f = instance_fields["f"]
 
-    instance = make_redundant_regression(
-        n=instance_fields["n"],
-        d=instance_fields["d"],
-        f=f,
-        noise_std=instance_fields["noise_std"],
-        seed=instance_fields["instance_seed"],
+    instance, faulty_ids, x_H = regression_setup(
+        instance_fields["n"], instance_fields["d"], f,
+        instance_fields["noise_std"], instance_fields["instance_seed"],
     )
-    faulty_ids = tuple(range(f))
-    honest = [i for i in range(instance_fields["n"]) if i not in faulty_ids]
-    x_H = instance.honest_minimizer(honest)
     config = DGDConfig(
         iterations=instance_fields["iterations"],
         gradient_filter=filter_name,

@@ -244,27 +244,18 @@ class JobExecutor:
     def _execute_run(self, record: JobRecord) -> Dict:
         from repro.analysis.metrics import final_error
         from repro.attacks.registry import make_attack
+        from repro.experiments.common import regression_setup
         from repro.observability import Telemetry
-        from repro.problems.linear_regression import make_redundant_regression
         from repro.system.batch import run_dgd_batch
 
         params = {**RUN_DEFAULTS, **record.spec.params}
-        n = int(params["n"])
-        d = int(params["d"])
-        f = int(params["f"])
-        noise_std = float(params["noise_std"])
-        filter_name = params["filter"]
-        attack_name = params["attack"]
         iterations = int(params["iterations"])
         seed = int(params["seed"])
-
-        instance = make_redundant_regression(
-            n=n, d=d, f=f, noise_std=noise_std, seed=seed
+        instance, faulty, x_H = regression_setup(
+            int(params["n"]), int(params["d"]), int(params["f"]),
+            float(params["noise_std"]), seed,
         )
-        faulty = tuple(range(f))
-        honest = [i for i in range(n) if i not in faulty]
-        x_H = instance.honest_minimizer(honest)
-        behavior = make_attack(attack_name) if faulty else None
+        behavior = make_attack(params["attack"]) if faulty else None
         root = self._trace_root(record)
         telemetry = Telemetry(
             self.store.events_path(record.job_id),
@@ -280,7 +271,7 @@ class JobExecutor:
             (trace,) = run_dgd_batch(
                 instance.costs,
                 behavior,
-                gradient_filter=filter_name,
+                gradient_filter=params["filter"],
                 faulty_ids=faulty,
                 iterations=iterations,
                 seeds=[seed],

@@ -19,21 +19,20 @@ job recomputes only the cells its shared cell cache does not already hold
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import math
 import os
 import shutil
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.exceptions import (
-    InfeasibleConfigurationError,
-    InvalidParameterError,
-    ReproError,
-)
+from repro.exceptions import InvalidParameterError, ReproError
+from repro.experiments.common import check_regression_setup
+from repro.experiments.sweep import RegressionGrid
 from repro.utils.atomicio import read_json_dict_checked, write_json_atomic
+from repro.utils.validation import require_int, require_number
 
 __all__ = [
     "JOB_KINDS",
@@ -53,12 +52,9 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-#: Grid parameters a ``sweep`` job may set (mirrors ``RegressionGrid``).
-_SWEEP_KEYS = {
-    "filters", "attacks", "fault_counts", "num_seeds", "master_seed",
-    "n", "d", "redundancy_f", "noise_std", "instance_seed", "iterations",
-    "x0", "telemetry",
-}
+#: Parameters a ``sweep`` job may set: the grid's fields and the
+#: telemetry switch.
+_SWEEP_KEYS = {f.name for f in dataclasses.fields(RegressionGrid)} | {"telemetry"}
 #: Parameters a ``run`` job may set, with the defaults the executor uses.
 RUN_DEFAULTS = {
     "n": 6, "d": 2, "f": 1, "noise_std": 0.02, "filter": "cge",
@@ -92,115 +88,22 @@ class JobSpec:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _require_int(params: Dict, key: str, minimum: Optional[int] = None) -> None:
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(
-            f"job parameter {key!r} must be an integer, got {value!r}"
-        )
-    if minimum is not None and value < minimum:
-        raise InvalidParameterError(
-            f"job parameter {key!r} must be >= {minimum}, got {value}"
-        )
-
-
-def _require_number(params: Dict, key: str) -> None:
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParameterError(
-            f"job parameter {key!r} must be a number, got {value!r}"
-        )
-
-
-def _require_name_list(params: Dict, key: str, available, kind: str) -> None:
-    values = params[key]
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InvalidParameterError(
-            f"job parameter {key!r} must be a non-empty list of names"
-        )
-    unknown = [v for v in values if v not in available]
-    if unknown:
-        raise InvalidParameterError(
-            f"unknown {kind}(s) {', '.join(map(repr, unknown))}; "
-            f"available: {', '.join(available)}"
-        )
-    params[key] = [str(v) for v in values]
-
-
-def _check_instance(n: int, d: int, f: int, noise_std: float) -> None:
-    """Reject a job whose regression instance cannot be built.
-
-    Runs the generator's own parameter checks (comparisons only; nothing
-    is built), so such a job gets a 400 instead of failing in the
-    executor.
-    """
-    from repro.problems.linear_regression import check_regression_parameters
-
-    try:
-        check_regression_parameters(n, d, f, noise_std)
-    except InfeasibleConfigurationError as exc:
-        raise InvalidParameterError(str(exc)) from exc
-
-
 def _validate_sweep_params(params: Dict) -> None:
-    from repro.aggregators.registry import available_filters
-    from repro.attacks.registry import buildable_attacks
-
-    if "filters" in params:
-        _require_name_list(params, "filters", available_filters(), "filter")
-    if "attacks" in params:
-        _require_name_list(params, "attacks", buildable_attacks(), "attack")
-    if "fault_counts" in params:
-        counts = params["fault_counts"]
-        if not isinstance(counts, (list, tuple)) or not counts or any(
-            isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts
-        ):
-            raise InvalidParameterError(
-                "job parameter 'fault_counts' must be a non-empty list of "
-                "non-negative integers"
-            )
-    for key, minimum in (("num_seeds", 1), ("n", 1), ("d", 1),
-                         ("iterations", 1)):
-        if key in params:
-            _require_int(params, key, minimum)
-    for key in ("master_seed", "instance_seed"):
-        if key in params:
-            _require_int(params, key)
-    if "redundancy_f" in params and params["redundancy_f"] is not None:
-        _require_int(params, "redundancy_f", 1)
-    if "noise_std" in params:
-        _require_number(params, "noise_std")
-    x0 = params.get("x0")
-    if x0 is not None and (not isinstance(x0, (list, tuple)) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float))
-        or not math.isfinite(v) for v in x0
-    )):
-        raise InvalidParameterError(
-            "job parameter 'x0' must be a list of finite numbers"
-        )
     if "telemetry" in params and not isinstance(params["telemetry"], bool):
         raise InvalidParameterError("job parameter 'telemetry' must be a bool")
-    grid = grid_from_params(params)
-    _check_instance(grid.n, grid.d, grid.resolved_redundancy_f(), grid.noise_std)
-    if grid.x0 is not None and len(grid.x0) != grid.d:
-        raise InvalidParameterError(
-            f"job parameter 'x0' must hold d={grid.d} numbers, got {len(grid.x0)}"
-        )
+    grid_from_params(params)  # the grid checks every value
 
 
 def _validate_run_params(params: Dict) -> None:
     from repro.aggregators.registry import available_filters, make_filter
     from repro.attacks.registry import buildable_attacks
 
-    for key, minimum in (("n", 2), ("d", 1), ("iterations", 1)):
+    for key, minimum in (("n", 2), ("d", 1), ("iterations", 1), ("f", 0),
+                         ("seed", None)):
         if key in params:
-            _require_int(params, key, minimum)
-    if "f" in params:
-        _require_int(params, "f", 0)
-    if "seed" in params:
-        _require_int(params, "seed")
+            require_int(key, params[key], minimum)
     if "noise_std" in params:
-        _require_number(params, "noise_std")
+        require_number("noise_std", params["noise_std"])
     if "filter" in params and params["filter"] not in available_filters():
         raise InvalidParameterError(
             f"unknown filter {params['filter']!r}; "
@@ -212,7 +115,9 @@ def _validate_run_params(params: Dict) -> None:
             f"available: {', '.join(buildable_attacks())}"
         )
     resolved = {**RUN_DEFAULTS, **params}
-    _check_instance(resolved["n"], resolved["d"], resolved["f"], resolved["noise_std"])
+    check_regression_setup(
+        resolved["n"], resolved["d"], resolved["f"], resolved["noise_std"]
+    )
     # The run fails in round 0 when its filter needs more gradients than
     # there are agents (Bulyan needs 4f + 3). Sweep cells that cannot run
     # are reported one by one instead.
@@ -232,7 +137,7 @@ def _validate_bench_params(params: Dict) -> None:
     load_default_workloads()
     get_bench(params["name"])  # raises with the known-name list
     if "repeats" in params:
-        _require_int(params, "repeats", 1)
+        require_int("repeats", params["repeats"], 1)
 
 
 def validate_job_spec(payload: Dict) -> JobSpec:
@@ -274,16 +179,21 @@ def validate_job_spec(payload: Dict) -> JobSpec:
     return JobSpec(kind=kind, params=params, client=client, priority=priority)
 
 
-def grid_from_params(params: Dict):
-    """Materialize a ``sweep`` job's parameters into a ``RegressionGrid``."""
-    from repro.experiments.sweep import RegressionGrid
+def grid_from_params(params: Dict) -> RegressionGrid:
+    """Materialize a ``sweep`` job's parameters into a ``RegressionGrid``.
 
+    The JSON rules live here: lists become tuples and integer ``x0``
+    entries floats, and the ``telemetry`` switch is dropped. The grid
+    checks the values itself and raises
+    :class:`~repro.exceptions.InvalidParameterError` on a bad one.
+    """
     fields = {k: v for k, v in params.items() if k != "telemetry"}
-    for key in ("filters", "attacks", "fault_counts"):
-        if key in fields:
+    for key in ("filters", "attacks", "fault_counts", "x0"):
+        if isinstance(fields.get(key), list):
             fields[key] = tuple(fields[key])
-    if fields.get("x0") is not None:
-        fields["x0"] = tuple(float(v) for v in fields["x0"])
+    if isinstance(fields.get("x0"), tuple):
+        fields["x0"] = tuple(float(v) if type(v) is int else v
+                             for v in fields["x0"])
     return RegressionGrid(**fields)
 
 

@@ -61,7 +61,12 @@ class SignedMessage:
 
 
 class ByzantineSenderStrategy(abc.ABC):
-    """How a *faulty* designated sender misbehaves in round 1."""
+    """How a *faulty* designated sender misbehaves in round 1.
+
+    A faulty sender controls its message bytes, so its values may be
+    non-finite: agreement is checked on bit patterns, and the receivers'
+    filter sanitizes what is delivered.
+    """
 
     @abc.abstractmethod
     def initial_messages(
@@ -74,8 +79,11 @@ class EquivocatingSender(ByzantineSenderStrategy):
     """Send one value to the first half of recipients and another to the rest."""
 
     def __init__(self, value_a, value_b):
-        self._value_a = check_vector(value_a, name="value_a")
-        self._value_b = check_vector(value_b, dimension=self._value_a.shape[0], name="value_b")
+        self._value_a = check_vector(value_a, name="value_a", allow_non_finite=True)
+        self._value_b = check_vector(
+            value_b, dimension=self._value_a.shape[0], name="value_b",
+            allow_non_finite=True,
+        )
 
     def initial_messages(self, sender, recipients, rng):
         half = len(recipients) // 2
@@ -102,8 +110,11 @@ class StaggeredEquivocator(ByzantineSenderStrategy):
     """
 
     def __init__(self, value_a, value_b, colluders: Sequence[int]):
-        self._value_a = check_vector(value_a, name="value_a")
-        self._value_b = check_vector(value_b, dimension=self._value_a.shape[0], name="value_b")
+        self._value_a = check_vector(value_a, name="value_a", allow_non_finite=True)
+        self._value_b = check_vector(
+            value_b, dimension=self._value_a.shape[0], name="value_b",
+            allow_non_finite=True,
+        )
         self._colluders = set(int(i) for i in colluders)
 
     def initial_messages(self, sender, recipients, rng):
@@ -156,7 +167,8 @@ def byzantine_broadcast(
     sender:
         Designated sender's node id.
     value:
-        The sender's input (used when the sender is honest).
+        The sender's input (used when the sender is honest, or faulty
+        without a strategy). Only an honest sender's input must be finite.
     faulty:
         Ids of Byzantine nodes, each in ``[0, n)``.
     sender_strategy:
@@ -217,7 +229,9 @@ def byzantine_broadcast(
     else:
         if value is None:
             raise InvalidParameterError("an honest sender needs an input value")
-        payload = check_vector(value, name="value")
+        payload = check_vector(
+            value, name="value", allow_non_finite=sender in faulty_set
+        )
         pending[1].append((SignedMessage(payload, (sender,)), everyone))
         messages_sent += n
 

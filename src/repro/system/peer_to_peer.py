@@ -305,8 +305,8 @@ def run_peer_to_peer_dgd(
                             "honest estimates diverged in peer-to-peer execution"
                         )
                 estimates[t + 1] = baseline
-            if tel:
-                record_filter_round(tel, t, gradient_filter, gradients, eta, baseline)
+                if tel:
+                    record_filter_round(tel, t, gradient_filter, gradients, eta, baseline)
     elapsed = time.perf_counter() - start
 
     extra: Dict[str, object] = {}

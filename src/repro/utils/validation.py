@@ -79,6 +79,42 @@ def check_matrix(
     return arr
 
 
+def require_int(name: str, value, minimum: Optional[int] = None) -> None:
+    """Reject a job parameter that is not an ``int`` (a ``bool`` is not one)
+    or lies below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(
+            f"job parameter {name!r} must be an integer, got {value!r}"
+        )
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(
+            f"job parameter {name!r} must be >= {minimum}, got {value}"
+        )
+
+
+def require_number(name: str, value) -> None:
+    """Reject a job parameter that is not an ``int`` or ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameterError(
+            f"job parameter {name!r} must be a number, got {value!r}"
+        )
+
+
+def require_names(name: str, values, available, kind: str) -> None:
+    """Reject a job parameter that is not a non-empty list of ``available``
+    names of one ``kind`` (``"filter"``, ``"attack"``)."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InvalidParameterError(
+            f"job parameter {name!r} must be a non-empty list of names"
+        )
+    unknown = [v for v in values if v not in available]
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown {kind}(s) {', '.join(map(repr, unknown))}; "
+            f"available: {', '.join(available)}"
+        )
+
+
 def check_probability(p: float, name: str = "p") -> float:
     """Validate that ``p`` lies in ``[0, 1]``."""
     p = float(p)

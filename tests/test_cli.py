@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,11 @@ import sys
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.exceptions import InvalidParameterError
+from repro.experiments.sweep import RegressionGrid
+from repro.experiments.tournament import TournamentConfig
+from repro.service import ServiceConfig
+from repro.service.jobs import RUN_DEFAULTS, validate_job_spec
 
 
 class TestParser:
@@ -215,6 +221,72 @@ class TestSweepCommand:
         stream = tmp_path / "telemetry" / "f1-cge-zero.jsonl"
         counts = count_events(load_jsonl(str(stream)))
         assert counts["round"] == 20  # 2 seeds x 10 iterations
+
+
+class TestGridInputs:
+    """``repro sweep`` exits 2 exactly where the service refuses the grid."""
+
+    @pytest.mark.parametrize("flags, params, refused", [
+        ("--fault-counts -1", {"fault_counts": [-1]}, True),
+        ("--num-seeds 0", {"num_seeds": 0}, True),
+        ("--iterations 0", {"iterations": 0}, True),
+        ("--n 1", {"n": 1}, True),
+        ("--d 0", {"d": 0}, True),
+        ("--n 6 --d 5", {"n": 6, "d": 5}, True),
+        ("--n 7 --d 5 --filters cge --attacks zero --num-seeds 1 --iterations 5",
+         {"n": 7, "d": 5, "filters": ["cge"], "attacks": ["zero"],
+          "num_seeds": 1, "iterations": 5}, False),
+    ])
+    def test_cli_and_service_agree(self, flags, params, refused, capsys):
+        message = None
+        try:
+            validate_job_spec({"kind": "sweep", "params": params})
+        except InvalidParameterError as exc:
+            message = str(exc)
+        assert (message is not None) == refused
+        code = main(["sweep", "--sequential", *flags.split()])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if refused:
+            assert code == 2
+            assert err == f"error: {message}\n"
+        else:
+            assert code == 0 and err == ""
+
+
+class TestJobDefaults:
+    """The job commands take their flag defaults from the job definitions."""
+
+    @pytest.mark.parametrize("argv", ["run", "profile", "submit run"])
+    def test_run_job_flags(self, argv):
+        args = build_parser().parse_args(argv.split())
+        assert {key: getattr(args, key) for key in RUN_DEFAULTS} == RUN_DEFAULTS
+
+    @pytest.mark.parametrize("argv", ["sweep", "submit sweep"])
+    def test_grid_flags(self, argv):
+        args = build_parser().parse_args(argv.split())
+        grid = RegressionGrid()
+        for name in ("filters", "attacks", "fault_counts"):
+            assert tuple(getattr(args, name)) == getattr(grid, name)
+        for name in ("num_seeds", "master_seed", "n", "d", "noise_std",
+                     "iterations"):
+            assert getattr(args, name) == getattr(grid, name)
+
+    def test_tournament_flags(self):
+        args = build_parser().parse_args(["tournament", "run"])
+        config = TournamentConfig()
+        for name in ("name", "rounds", "num_seeds", "master_seed", "n", "d",
+                     "f", "noise_std", "iterations", "win_threshold",
+                     "loss_threshold"):
+            assert getattr(args, name) == getattr(config, name)
+
+    def test_serve_flags(self):
+        args = build_parser().parse_args(["serve", "--state-dir", "state"])
+        for spec in dataclasses.fields(ServiceConfig):
+            if spec.name == "parallel":
+                assert args.sequential is not spec.default
+            elif spec.name != "state_dir":
+                assert getattr(args, spec.name) == spec.default
 
 
 class TestServeCommand:

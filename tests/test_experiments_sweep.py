@@ -69,6 +69,14 @@ class TestSweepEngine:
         with pytest.raises(InvalidParameterError, match="max_workers"):
             SweepEngine(max_workers=0)
 
+    @pytest.mark.parametrize("fields", [
+        {"fault_counts": (-1,)},
+        {"num_seeds": 0},
+    ])
+    def test_grid_checks_its_fields(self, fields):
+        with pytest.raises(InvalidParameterError):
+            RegressionGrid(**fields)
+
     def test_grid_matches_direct_run_dgd(self, tmp_path):
         grid = RegressionGrid(
             filters=("cge",), attacks=("gradient-reverse",), fault_counts=(1,),

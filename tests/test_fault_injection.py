@@ -413,7 +413,7 @@ class TestEngineMapChaos:
         def refuse(self, workers):
             raise sweep_module._PoolUnavailable("no pool for you")
 
-        monkeypatch.setattr(SweepEngine, "_new_pool", refuse)
+        monkeypatch.setattr(sweep_module.SharedProcessPool, "get", refuse)
         engine = self._engine(parallel=True, max_workers=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

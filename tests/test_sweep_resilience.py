@@ -503,12 +503,14 @@ class TestSalvagePathChargesFailures:
 
     @staticmethod
     def _engine_with_pools(monkeypatch, pools, **kwargs):
-        from concurrent.futures import BrokenExecutor  # noqa: F401
+        from repro.experiments import sweep as sweep_module
 
         engine = SweepEngine(parallel=True, max_workers=2, chunk_size=1,
                              retry_backoff=0.0, **kwargs)
         queue = list(pools)
-        monkeypatch.setattr(engine, "_new_pool", lambda workers: queue.pop(0))
+        # Every executor is built in SharedProcessPool.get.
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor",
+                            lambda max_workers: queue.pop(0))
         return engine
 
     def test_salvaged_failure_charged_and_retried(self, monkeypatch):

@@ -17,6 +17,7 @@ from repro.optimization.stochastic import NoisyGradientCost, with_gradient_noise
 from repro.problems.linear_regression import make_redundant_regression
 from repro.system.peer_to_peer import run_peer_to_peer_dgd
 from repro.system.runner import run_dgd
+from tests.test_telemetry_reference import POISON, _Poisoned
 
 
 class TestFaultFree:
@@ -85,6 +86,47 @@ class TestByzantine:
             equivocate=False,
         )
         assert np.array_equal(server.estimates, peer.estimates)
+
+    # A faulty sender's forged values may be NaN or ±inf. Broadcast delivers
+    # them as they are, and the filter sanitizes the row as the server does.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.sampled_from([4, 7, 10]),
+        filter_name=st.sampled_from(["cge", "cwtm", "median", "average"]),
+        attack=st.sampled_from(["gradient-reverse", "zero", "alie"]),
+        entries=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1),
+                      st.sampled_from(POISON)),
+            min_size=1, max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_non_finite_forges(self, data, n, filter_name, attack, entries, seed):
+        f = data.draw(st.integers(1, (n - 1) // 3), label="f")
+        faulty = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=f, max_size=f, unique=True),
+            label="faulty",
+        )
+        instance = make_redundant_regression(n=n, d=2, f=f, noise_std=0.05, seed=seed)
+
+        def peer(equivocate):
+            return run_peer_to_peer_dgd(
+                instance.costs, make_filter(filter_name, f=f), faulty_ids=faulty,
+                behavior=_Poisoned(make_attack(attack), entries), iterations=25,
+                seed=seed, equivocate=equivocate,
+            )
+
+        server = run_dgd(
+            instance.costs, _Poisoned(make_attack(attack), entries),
+            gradient_filter=filter_name, faulty_ids=faulty, iterations=25,
+            seed=seed,
+        )
+        assert server.estimates.tobytes() == peer(False).estimates.tobytes()
+        equivocating = peer(True)
+        assert equivocating.agreement_verified
+        finals = {final.tobytes() for final in equivocating.per_agent_final.values()}
+        assert len(finals) == 1
 
     def test_equivocation_resolved_consistently(self):
         instance = make_redundant_regression(n=4, d=2, f=1, noise_std=0.0, seed=0)

@@ -7,18 +7,21 @@ the one :mod:`tests.telemetry_reference` builds one run at a time, byte for
 byte as the JSONL sink writes it, once span ``seconds``/``ts`` and the
 summary's timing fields are zeroed.
 
-One difference is documented: the batch engine now emits a round's records
-inside that round's ``round`` span, as ``run_dgd`` does, where the frozen
-loop emitted them after the span had closed. Its records therefore come
-before the span's own record and, on a traced handle, reference the round
-span instead of the ``run`` span. :func:`_inside_round_spans` applies
-exactly that change to the reference stream before comparing.
+One difference is documented: the batch and peer-to-peer engines now emit
+a round's records inside that round's ``round`` span, as ``run_dgd`` does,
+where they used to emit them after the span had closed. Their records
+therefore come before the span's own record and, on a traced handle,
+reference the round span instead of the ``run`` span.
+:func:`_inside_round_spans` applies exactly that change to the reference
+stream before comparing. The batch reference is the frozen loop;
+peer-to-peer runs its own loop with the frozen builder called after each
+round span, as :func:`_records_after_round_spans` arranges.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -111,8 +114,8 @@ def _lines(handle):
 
 
 def _inside_round_spans(records):
-    """The documented batch change applied to a reference stream: the
-    round records that followed a ``round`` span move inside it."""
+    """The documented change applied to a reference stream: the round
+    records that followed a ``round`` span move inside it."""
     out = []
     index = 0
     while index < len(records):
@@ -139,6 +142,30 @@ def _reference_filter_rounds():
                            reference_record_filter_round), \
             mock.patch.object(peer_to_peer, "record_filter_round",
                               reference_record_filter_round):
+        yield
+
+
+@contextmanager
+def _records_after_round_spans(handle):
+    """Peer-to-peer's former order on ``handle``: each round's record is
+    built by the frozen builder once the round's span has closed."""
+    deferred = []
+    span = handle.span
+
+    @contextmanager
+    def deferring_span(name):
+        with span(name):
+            yield
+        if name == "round":
+            for call in deferred:
+                call()
+            deferred.clear()
+
+    def record_later(*args):
+        deferred.append(lambda: reference_record_filter_round(*args))
+
+    with mock.patch.object(handle, "span", deferring_span), \
+            mock.patch.object(peer_to_peer, "record_filter_round", record_later):
         yield
 
 
@@ -327,18 +354,18 @@ def test_engine_streams_match_reference(case):
             K * case["iterations"]
         )
 
-    # Byzantine broadcast refuses a non-finite payload outright.
-    if 3 * case["f"] < case["n"] and case["poison"] is None:
+    if 3 * case["f"] < case["n"]:
 
         def peer_run(instance, handle, reference):
-            run_peer_to_peer_dgd(
-                instance.costs, make_filter(case["filter"], f=case["f"]),
-                faulty_ids=case["faulty"], behavior=_behavior(case),
-                iterations=case["iterations"], seed=case["seed"],
-                telemetry=handle,
-            )
+            with _records_after_round_spans(handle) if reference else nullcontext():
+                run_peer_to_peer_dgd(
+                    instance.costs, make_filter(case["filter"], f=case["f"]),
+                    faulty_ids=case["faulty"], behavior=_behavior(case),
+                    iterations=case["iterations"], seed=case["seed"],
+                    telemetry=handle,
+                )
 
-        new, ref = _streams(case, peer_run)
+        new, ref = _streams(case, peer_run, transform=_inside_round_spans)
         assert new == ref
 
 
@@ -377,3 +404,17 @@ def test_traced_batch_round_records_reference_their_round_span():
     rounds = [r for r in handle.records if r["event"] == "round"]
     assert len(round_spans) == 3 and len(rounds) == 6
     assert {r["span_id"] for r in rounds} == set(round_spans)
+
+
+def test_traced_peer_to_peer_round_records_reference_their_round_span():
+    instance = make_redundant_regression(n=4, d=2, f=1, noise_std=0.02, seed=0)
+    handle = _handle(Telemetry, None, True)
+    run_peer_to_peer_dgd(instance.costs, make_filter("cge", f=1),
+                         faulty_ids=(0,), behavior=GradientReverse(),
+                         iterations=3, seed=4, telemetry=handle)
+    handle.close()
+    round_spans = [r["span_id"] for r in handle.records
+                   if r["event"] == "span" and r["name"] == "round"]
+    rounds = [r["span_id"] for r in handle.records if r["event"] == "round"]
+    assert len(set(round_spans)) == 3
+    assert rounds == round_spans
