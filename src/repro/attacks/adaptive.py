@@ -47,6 +47,11 @@ class ALittleIsEnough(ByzantineBehavior):
             raise InvalidParameterError(f"z must be positive, got {z}")
         self._z = z
 
+    @property
+    def z(self) -> Optional[float]:
+        """The configured ``z``, or ``None`` for the population default."""
+        return self._z
+
     def _z_value(self, context: AttackContext) -> float:
         if self._z is not None:
             return self._z
@@ -76,6 +81,10 @@ class InnerProductManipulation(ByzantineBehavior):
             raise InvalidParameterError(f"scale must be positive, got {scale}")
         self._scale = float(scale)
 
+    @property
+    def scale(self) -> float:
+        return self._scale
+
     def forge(self, context: AttackContext) -> np.ndarray:
         forged = -self._scale * context.honest_mean()
         return np.tile(forged, (context.num_faulty, 1))
@@ -96,6 +105,11 @@ class Mimic(ByzantineBehavior):
                 f"target_position must be non-negative, got {target_position}"
             )
         self._target_position = int(target_position)
+
+    @property
+    def target_position(self) -> int:
+        """Which honest agent, by position among the honest ids, is copied."""
+        return self._target_position
 
     def forge(self, context: AttackContext) -> np.ndarray:
         honest = context.honest_gradients

@@ -264,6 +264,11 @@ class RegressionGrid:
             raise InvalidParameterError(
                 f"job parameter 'x0' must hold d={self.d} numbers, got {len(x0)}"
             )
+        # Equal grids get equal cell keys however a number is spelled
+        # (``0`` or ``0.0``, a tuple or a JSON list).
+        object.__setattr__(self, "noise_std", float(self.noise_std))
+        if x0 is not None:
+            object.__setattr__(self, "x0", tuple(float(v) for v in x0))
 
     def resolved_redundancy_f(self) -> int:
         """The instance's redundancy degree (defaults to the largest f swept)."""

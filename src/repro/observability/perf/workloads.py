@@ -489,6 +489,51 @@ def _bench_smoke_batch(tel):
     return {"mean_final_error": float(np.mean(errors)), "traces": traces}
 
 
+@register_bench(
+    "smoke_heavy_tail",
+    workload={"n": 6, "d": 2, "f": 1, "noise_std": 0.02, "iterations": 500,
+              "seed": 7, "filters": ["geomed", "gmom"],
+              "attack": "gradient-reverse",
+              "grid": {"filters": ["cge"], "attacks": ["alie"], "num_seeds": 8,
+                       "iterations": 300}},
+    tags=("smoke",),
+    metrics=lambda out: {
+        key: out[key]
+        for key in ("geomed_final_error", "gmom_final_error",
+                    "alie_mean_final_error")
+    },
+    description="Smoke: the costliest serve_mix jobs, geomed and gmom run "
+                "jobs and a cge/alie grid group",
+)
+def _bench_smoke_heavy_tail(tel):
+    from repro.analysis.metrics import final_error
+    from repro.attacks.registry import make_attack
+    from repro.experiments.common import regression_setup
+    from repro.experiments.sweep import RegressionGrid, SweepEngine
+    from repro.system.batch import run_dgd_batch
+
+    # Two run jobs at the service's run defaults, at seed 7.
+    instance, faulty, x_H = regression_setup(6, 2, 1, 0.02, 7)
+    out = {}
+    for filter_name in ("geomed", "gmom"):
+        with tel.span(filter_name):
+            (trace,) = run_dgd_batch(
+                instance.costs,
+                make_attack("gradient-reverse"),
+                gradient_filter=filter_name,
+                faulty_ids=faulty,
+                iterations=500,
+                seeds=[7],
+            )
+        out[f"{filter_name}_final_error"] = float(final_error(trace, x_H))
+    # One (filter, attack, f) group of the default grid: K = 8, T = 300.
+    grid = RegressionGrid(filters=("cge",), attacks=("alie",), num_seeds=8)
+    with tel.span("alie_grid_group"):
+        cells = SweepEngine(parallel=False).run_regression_grid(grid)
+    out["alie_mean_final_error"] = float(np.mean([c.final_error for c in cells]))
+    return out
+
+
 _TOURNAMENT_SMOKE_WORKLOAD = {
     "filters": ["cge", "cwtm", "average"],
     "attacks": ["gradient-reverse", "alie", "zero"],

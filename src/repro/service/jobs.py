@@ -182,18 +182,15 @@ def validate_job_spec(payload: Dict) -> JobSpec:
 def grid_from_params(params: Dict) -> RegressionGrid:
     """Materialize a ``sweep`` job's parameters into a ``RegressionGrid``.
 
-    The JSON rules live here: lists become tuples and integer ``x0``
-    entries floats, and the ``telemetry`` switch is dropped. The grid
-    checks the values itself and raises
-    :class:`~repro.exceptions.InvalidParameterError` on a bad one.
+    The JSON rules live here: name and fault-count lists become tuples,
+    and the ``telemetry`` switch is dropped. The grid checks the values
+    itself, raising :class:`~repro.exceptions.InvalidParameterError` on a
+    bad one, and stores ``noise_std`` and ``x0`` as floats.
     """
     fields = {k: v for k, v in params.items() if k != "telemetry"}
-    for key in ("filters", "attacks", "fault_counts", "x0"):
+    for key in ("filters", "attacks", "fault_counts"):
         if isinstance(fields.get(key), list):
             fields[key] = tuple(fields[key])
-    if isinstance(fields.get("x0"), tuple):
-        fields["x0"] = tuple(float(v) if type(v) is int else v
-                             for v in fields["x0"])
     return RegressionGrid(**fields)
 
 

@@ -31,13 +31,16 @@ sequential dgemv bit-for-bit), the filter's own
 :meth:`~repro.aggregators.base.GradientFilter.aggregate_batch`, and the
 row projector :func:`~repro.optimization.projections.numpy_batch_projector`.
 
-Attack forging is applied **per run slice**: deterministic behaviours
-(gradient-reverse, sign-flip, zero, constant-bias) are forged with one
-vectorized expression, and every other registered behaviour receives a
-genuine :class:`~repro.attacks.base.AttackContext` built from its run's
-slice of the gradient tensor and its run's own adversary stream — so even
-randomized and adaptive attacks (``random``, ``alie``, ``ipm``, ``mimic``,
-…) reproduce the sequential execution exactly.
+Attack forging: gradient-reverse, sign-flip, zero, constant-bias, ALIE,
+IPM and mimic are forged for all ``K`` runs at once, with one vectorized
+expression over the honest rows ``G[:, honest]``. Every other behaviour
+receives a genuine :class:`~repro.attacks.base.AttackContext` per run
+slice, built from its run's slice of the gradient tensor and its run's own
+adversary stream, so randomized and wrapped attacks (``random``,
+``intermittent(alie)``, …) reproduce the sequential execution exactly. So
+do sign-flip, ALIE and IPM at ``d = 1`` with 8 or more honest agents, where
+numpy would sum the batch's honest rows in another order than a slice's,
+and sign-flip, ALIE, IPM and mimic when no agent is honest.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.aggregators.base import GradientFilter
+from repro.attacks.adaptive import (
+    ALittleIsEnough,
+    InnerProductManipulation,
+    Mimic,
+    _default_z,
+)
 from repro.attacks.base import AttackContext, ByzantineBehavior
 from repro.attacks.simple import ConstantBias, GradientReverse, SignFlip, ZeroGradient
 from repro.exceptions import InvalidParameterError
@@ -125,10 +134,11 @@ def _vectorized_forger(
 ):
     """Build ``forge(t, X, G) -> (K, |F|, d)`` for the configured behaviour.
 
-    Exact-type matches get a closed-form vectorized expression; any other
-    behaviour is invoked per run slice through a real
-    :class:`AttackContext`, which reproduces the sequential semantics for
-    arbitrary (randomized, adaptive, even wrapped) behaviours.
+    Exact-type matches get a closed-form vectorized expression where it
+    rounds as each slice would; any other behaviour is invoked per run
+    slice through a real :class:`AttackContext`, which reproduces the
+    sequential semantics for arbitrary (randomized, adaptive, even wrapped)
+    behaviours.
     """
     faulty_idx = np.asarray(faulty_ids, dtype=int)
     honest_idx = np.asarray(honest_ids, dtype=int)
@@ -148,19 +158,6 @@ def _vectorized_forger(
             return np.zeros((X.shape[0], num_faulty, X.shape[1]))
 
         return forge
-    if kind is SignFlip:
-        strength = behavior.strength
-
-        def forge(t: int, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-            if honest_idx.shape[0] == 0:
-                direction = np.zeros((X.shape[0], X.shape[1]))
-            else:
-                direction = -strength * G[:, honest_idx].mean(axis=1)
-            return np.broadcast_to(
-                direction[:, None, :], (X.shape[0], num_faulty, X.shape[1])
-            )
-
-        return forge
     if kind is ConstantBias:
         bias = behavior.bias
         # Validated here, at construction, so a misconfigured bias fails
@@ -175,6 +172,45 @@ def _vectorized_forger(
         def forge(t: int, X: np.ndarray, G: np.ndarray) -> np.ndarray:
             return np.broadcast_to(
                 bias[None, None, :], (X.shape[0], num_faulty, X.shape[1])
+            )
+
+        return forge
+
+    num_honest = honest_idx.shape[0]
+    if kind is Mimic and num_honest > 0:
+        source = honest_idx[behavior.target_position % num_honest]
+
+        def forge(t: int, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(
+                G[:, source, None, :], (X.shape[0], num_faulty, X.shape[1])
+            )
+
+        return forge
+    # Reducing G[:, honest_idx] over its honest axis adds in each slice's
+    # order, except at d = 1 with 8 or more honest rows, where numpy sums a
+    # slice's column pairwise but the batch row by row.
+    honest_reductions_exact = num_honest > 0 and (
+        costs[0].dimension > 1 or num_honest < 8
+    )
+    if kind in (SignFlip, InnerProductManipulation) and honest_reductions_exact:
+        scale = behavior.strength if kind is SignFlip else behavior.scale
+
+        def forge(t: int, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+            direction = -scale * G[:, honest_idx].mean(axis=1)
+            return np.broadcast_to(
+                direction[:, None, :], (X.shape[0], num_faulty, X.shape[1])
+            )
+
+        return forge
+    if kind is ALittleIsEnough and honest_reductions_exact:
+        z = behavior.z
+        z = abs(_default_z(len(costs), num_faulty) if z is None else z)
+
+        def forge(t: int, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+            H = G[:, honest_idx]
+            row = H.mean(axis=1) - z * H.std(axis=1)
+            return np.broadcast_to(
+                row[:, None, :], (X.shape[0], num_faulty, X.shape[1])
             )
 
         return forge

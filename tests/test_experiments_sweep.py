@@ -302,6 +302,22 @@ class TestCacheKeyProperties:
         payload = _cell_cache_payload(grid_fields, "cge", "zero", 1, 7)
         assert _config_hash(payload) == "b0b34d4008d02582f0fce6b9286079a6"
 
+    def test_number_spelling_does_not_change_keys(self):
+        # An int and a float spelling of one number make one grid, so both
+        # hit the same cell-cache entries.
+        from repro.service.jobs import grid_from_params
+
+        engine = SweepEngine(parallel=False)
+
+        def keys(grid):
+            return [cell["key"] for cell in engine._grid_cells(grid)]
+
+        assert keys(grid_from_params({"noise_std": 0})) == keys(
+            grid_from_params({"noise_std": 0.0})
+        )
+        sent = json.loads(json.dumps({"x0": [1, 2]}))
+        assert keys(RegressionGrid(x0=(1, 2))) == keys(grid_from_params(sent))
+
     @given(
         field=st.sampled_from(
             ["n", "d", "redundancy_f", "instance_seed", "iterations"]

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -78,18 +78,25 @@ class TestTraceEquivalence:
             assert_traces_identical(a, b)
 
     def test_adaptive_randomized_attacks_bit_identical(self, instance):
-        # Attacks outside the closed-form forging set go through the
-        # per-slice AttackContext path, which must also be exact — the
-        # per-run adversary rng streams match the sequential derivation.
-        for attack in ("alie", "ipm", "mimic"):
+        # ALIE, IPM and mimic are forged for the whole batch. Random, a
+        # wrapped ALIE and ALIE/IPM at d = 1 with 8 or more honest agents
+        # go through the per-slice AttackContext path, which must also be
+        # exact: the per-run adversary rng streams match the sequential
+        # derivation.
+        line = make_redundant_regression(n=10, d=1, f=1, noise_std=0.3, seed=4)
+        cases = [(instance, make_attack(attack))
+                 for attack in ("alie", "ipm", "mimic", "random")]
+        wrapped = make_attack("intermittent", inner=make_attack("alie"))
+        cases.append((instance, wrapped))
+        cases += [(line, make_attack(attack)) for attack in ("alie", "ipm")]
+        for problem, behavior in cases:
             config = DGDConfig(
                 iterations=40, gradient_filter="cge", faulty_ids=(1,), f=1
             )
-            behavior = make_attack(attack)
             sequential = [
-                run_dgd(instance.costs, behavior, config, seed=s) for s in SEEDS
+                run_dgd(problem.costs, behavior, config, seed=s) for s in SEEDS
             ]
-            batched = run_dgd_batch(instance.costs, behavior, config, seeds=SEEDS)
+            batched = run_dgd_batch(problem.costs, behavior, config, seeds=SEEDS)
             for a, b in zip(sequential, batched):
                 assert_traces_identical(a, b)
 
@@ -124,6 +131,45 @@ class TestTraceEquivalence:
         for trace in batched:
             assert trace.extra["batch"]["size"] == len(SEEDS)
             assert trace.wall_time >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    f=st.integers(1, 2),
+    extra=st.integers(0, 8),
+    instance_seed=st.integers(0, 63),
+    positions=st.lists(st.integers(0, 63), min_size=1, max_size=2, unique=True),
+    seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=4),
+    filter_name=st.sampled_from(("cge", "cwtm", "median")),
+    attack=st.sampled_from(
+        (("alie", {}), ("alie", {"z": 0.7}), ("ipm", {}), ("ipm", {"scale": 2.0}),
+         ("mimic", {}), ("mimic", {"target_position": 5}), ("sign-flip", {}))
+    ),
+)
+@example(d=1, f=1, extra=6, instance_seed=19, positions=[3], seeds=[1, 2, 3],
+         filter_name="cge", attack=("alie", {}))
+@example(d=1, f=1, extra=6, instance_seed=19, positions=[3], seeds=[1, 2, 3],
+         filter_name="cge", attack=("ipm", {}))
+def test_whole_batch_forgers_match_sequential(
+    d, f, extra, instance_seed, positions, seeds, filter_name, attack
+):
+    # ALIE, IPM, mimic and sign-flip are forged for all K runs at once,
+    # and per slice at d = 1 with 8 or more honest agents.
+    n = 2 * f + d + extra
+    faulty = sorted({p % n for p in positions[:f]})
+    name, kwargs = attack
+    behavior = make_attack(name, **kwargs)
+    instance = make_redundant_regression(
+        n=n, d=d, f=f, noise_std=0.2, seed=instance_seed
+    )
+    config = DGDConfig(
+        iterations=20, gradient_filter=filter_name, faulty_ids=tuple(faulty), f=f
+    )
+    sequential = [run_dgd(instance.costs, behavior, config, seed=s) for s in seeds]
+    batched = run_dgd_batch(instance.costs, behavior, config, seeds=seeds)
+    for a, b in zip(sequential, batched):
+        assert_traces_identical(a, b)
 
 
 class TestFallbacks:
